@@ -176,52 +176,30 @@ void RunBackend(const std::string& backend,
     }
     auto t4 = std::chrono::steady_clock::now();
 
-    // Cold-open shootout (archive family only — the backends that honor
-    // StoreOptions::snapshot_format): the same store saved as legacy XAR1
-    // and as XAR2, each cold-opened from a real file, plus the first
-    // query answered after the open. The XAR1 open re-parses the archive
-    // text whichever VFS reads it; the XAR2 mmap open is O(mmap +
-    // CRC verify) and the first query navigates the mapped bytes.
+    // Cold open (archive family only — the backends whose snapshots are
+    // XAR2): the snapshot cold-opened from a real file through mmap, plus
+    // the first query answered after the open. The open is O(mmap + CRC
+    // verify) and the first query navigates the mapped bytes; its answer
+    // must match the live store's.
     const bool archive_family =
         backend == "archive" || backend == "archive-weave";
-    double open_parse_s = 0, open_xar1_mmap_s = 0, open_xar2_mmap_s = 0;
-    double fq_parse_s = 0, fq_xar1_mmap_s = 0, fq_xar2_mmap_s = 0;
+    double open_xar2_mmap_s = 0, fq_xar2_mmap_s = 0;
     if (archive_family) {
-      StoreOptions xar1_options;
-      xar1_options.spec = MustSpec();
-      xar1_options.snapshot_format = 1;
-      auto xar1_store = StoreRegistry::Create(backend,
-                                              std::move(xar1_options));
-      Die(xar1_store.status(), "create xar1");
-      Die((*xar1_store)->AppendBatch(views), "ingest xar1");
-      const std::string xar1_path =
-          (std::filesystem::path(dir.path) / "store_v1.xar").string();
-      Die((*xar1_store)->SaveToFile(xar1_path), "save xar1");
-
       const std::string first_query = "/site @ version " + std::to_string(n);
-      std::string parse_out, xar1_out, xar2_out;
-      auto cold_open = [&](const std::string& path, vfs::Vfs* vfs,
-                           double* open_s, double* query_s,
-                           std::string* out) {
-        auto c0 = std::chrono::steady_clock::now();
-        auto opened = StoreRegistry::Open(path, {}, vfs);
-        auto c1 = std::chrono::steady_clock::now();
-        Die(opened.status(), "cold open");
-        StringSink sink;
-        Die((*opened)->Query(first_query, sink), "first query");
-        auto c2 = std::chrono::steady_clock::now();
-        *open_s = Seconds(c0, c1);
-        *query_s = Seconds(c1, c2);
-        *out = std::move(sink).Take();
-      };
-      cold_open(xar1_path, vfs::Vfs::Posix(), &open_parse_s, &fq_parse_s,
-                &parse_out);
-      cold_open(xar1_path, vfs::Vfs::Mmap(), &open_xar1_mmap_s,
-                &fq_xar1_mmap_s, &xar1_out);
-      cold_open(disk_path, vfs::Vfs::Mmap(), &open_xar2_mmap_s,
-                &fq_xar2_mmap_s, &xar2_out);
-      if (parse_out != xar1_out || parse_out != xar2_out) {
-        std::fprintf(stderr, "cold-open query outputs disagree\n");
+      auto c0 = std::chrono::steady_clock::now();
+      auto opened = StoreRegistry::Open(disk_path, {}, vfs::Vfs::Mmap());
+      auto c1 = std::chrono::steady_clock::now();
+      Die(opened.status(), "cold open");
+      StringSink cold_sink;
+      Die((*opened)->Query(first_query, cold_sink), "first query");
+      auto c2 = std::chrono::steady_clock::now();
+      open_xar2_mmap_s = Seconds(c0, c1);
+      fq_xar2_mmap_s = Seconds(c1, c2);
+      StringSink live_sink;
+      Die((*store)->Query(first_query, live_sink), "live query");
+      if (cold_sink.data() != live_sink.data()) {
+        std::fprintf(stderr, "cold-open query output disagrees with the "
+                             "live store\n");
         std::exit(1);
       }
     }
@@ -239,12 +217,9 @@ void RunBackend(const std::string& backend,
                 save_s * 1e3, open_s * 1e3, open_buf_s * 1e3,
                 open_mmap_s * 1e3, save_mbps, replay_s * 1e3);
     if (archive_family) {
-      std::printf(
-          "%-14s %8s  cold-open: parse %.2f ms | xar1-mmap %.2f ms | "
-          "xar2-mmap %.2f ms   first-query: %.2f | %.2f | %.2f ms\n",
-          "", "", open_parse_s * 1e3, open_xar1_mmap_s * 1e3,
-          open_xar2_mmap_s * 1e3, fq_parse_s * 1e3, fq_xar1_mmap_s * 1e3,
-          fq_xar2_mmap_s * 1e3);
+      std::printf("%-14s %8s  cold-open xar2-mmap %.2f ms   first-query "
+                  "%.2f ms\n",
+                  "", "", open_xar2_mmap_s * 1e3, fq_xar2_mmap_s * 1e3);
     }
     if (report != nullptr) {
       report->BeginRow();
@@ -259,11 +234,7 @@ void RunBackend(const std::string& backend,
       report->Add("save_mb_per_s", save_mbps);
       report->Add("log_replay_ms", replay_s * 1e3);
       if (archive_family) {
-        report->Add("open_parse_ms", open_parse_s * 1e3);
-        report->Add("open_xar1_mmap_ms", open_xar1_mmap_s * 1e3);
         report->Add("open_xar2_mmap_ms", open_xar2_mmap_s * 1e3);
-        report->Add("first_query_parse_ms", fq_parse_s * 1e3);
-        report->Add("first_query_xar1_mmap_ms", fq_xar1_mmap_s * 1e3);
         report->Add("first_query_xar2_mmap_ms", fq_xar2_mmap_s * 1e3);
       }
     }

@@ -1,5 +1,7 @@
 #include "core/archive.h"
 
+#include "core/tree_view.h"
+
 namespace xarch::core {
 
 size_t ArchiveNode::CountNodes() const {
@@ -25,31 +27,6 @@ void Archive::AddEmptyVersion() {
   for (auto& child : root_->children) {
     if (!child->stamp.has_value()) child->stamp = before;
   }
-}
-
-const ArchiveNode* FindChildByKeyStep(const ArchiveNode& parent,
-                                      const KeyStep& step) {
-  for (const auto& child : parent.children) {
-    if (child->label.tag != step.tag) continue;
-    if (child->label.parts.size() != step.key.size()) continue;
-    bool all_match = true;
-    for (const auto& [path, text] : step.key) {
-      bool found = false;
-      for (const auto& part : child->label.parts) {
-        if (part.path == path &&
-            (part.value == text || part.value == "T" + text)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        all_match = false;
-        break;
-      }
-    }
-    if (all_match) return child.get();
-  }
-  return nullptr;
 }
 
 namespace {
@@ -91,22 +68,7 @@ StatusOr<xml::NodePtr> Archive::RetrieveVersion(Version v) const {
 }
 
 StatusOr<VersionSet> Archive::History(const std::vector<KeyStep>& path) const {
-  const ArchiveNode* node = root_.get();
-  VersionSet effective = *root_->stamp;
-  for (const auto& step : path) {
-    if (node->is_frontier) {
-      return Status::InvalidArgument(
-          "history path descends below frontier node " +
-          node->label.ToString());
-    }
-    const ArchiveNode* child = FindChildByKeyStep(*node, step);
-    if (child == nullptr) {
-      return Status::NotFound("no element " + step.tag + " on the given path");
-    }
-    effective = child->EffectiveStamp(effective);
-    node = child;
-  }
-  return effective;
+  return HistoryOverView(HeapArchiveView(this), path);
 }
 
 namespace {

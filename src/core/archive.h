@@ -147,6 +147,7 @@ class Archive {
   /// The temporal history of the keyed element identified by `path`
   /// (Sec. 7.2): the set of versions in which it exists. Key values are
   /// plain text; they are matched against the canonical stored values.
+  /// Runs core::HistoryOverView over this archive's heap view.
   StatusOr<VersionSet> History(const std::vector<KeyStep>& path) const;
 
   /// Serializes the archive as the XML document of Fig. 5.
@@ -197,12 +198,6 @@ class Archive {
   uint64_t ingest_generation_ = 0;
   std::unique_ptr<ArchiveNode> root_;
 };
-
-/// Resolves a KeyStep against archive children: finds the child whose label
-/// matches tag and key values (plain text values match canonical "T<text>"
-/// or raw stored forms). Returns nullptr if absent.
-const ArchiveNode* FindChildByKeyStep(const ArchiveNode& parent,
-                                      const KeyStep& step);
 
 }  // namespace xarch::core
 

@@ -2,17 +2,6 @@
 
 namespace xarch::core {
 
-namespace {
-
-/// Node-only heap view for the ArchiveNode entry point (never asked for
-/// Root/version_count, so it needs no archive).
-const HeapArchiveView& NodeOnlyHeapView() {
-  static const HeapArchiveView view;
-  return view;
-}
-
-}  // namespace
-
 Status ScanCursor::Emit(std::string_view text) {
   buffer_.append(text);
   return MaybeFlush();
@@ -71,10 +60,6 @@ Status ScanCursor::Scan(const ArchiveView& view, ArchiveView::NodeId node,
   OpenTag(view, node);
   if (view.IsFrontier(node)) return WriteFrontier(view, node, v, depth);
   return WriteInner(view, node, v, depth);
-}
-
-Status ScanCursor::Scan(const ArchiveNode& node, Version v, int depth) {
-  return Scan(NodeOnlyHeapView(), HeapArchiveView::Id(node), v, depth);
 }
 
 Status ScanCursor::WriteInner(const ArchiveView& view,

@@ -68,9 +68,6 @@ class ScanCursor {
   Status Scan(const ArchiveView& view, ArchiveView::NodeId node, Version v,
               int depth);
 
-  /// Heap convenience overload over an ArchiveNode subtree.
-  Status Scan(const ArchiveNode& node, Version v, int depth);
-
   /// Splices raw bytes into the stream (result wrappers, report lines).
   Status Emit(std::string_view text);
 

@@ -96,13 +96,9 @@ class ArchiveView {
   }
 };
 
-/// ArchiveView over heap ArchiveNodes; NodeIds are node pointers. The
-/// node accessors never touch the archive, so a default-constructed
-/// (archive-less) instance serves anywhere only subtree navigation is
-/// needed — e.g. the legacy ScanCursor entry point.
+/// ArchiveView over heap ArchiveNodes; NodeIds are node pointers.
 class HeapArchiveView : public ArchiveView {
  public:
-  HeapArchiveView() = default;
   explicit HeapArchiveView(const Archive* archive) : archive_(archive) {}
 
   static NodeId Id(const ArchiveNode& node) {
@@ -177,19 +173,19 @@ class HeapArchiveView : public ArchiveView {
   }
 
  private:
-  const Archive* archive_ = nullptr;
+  const Archive* archive_;
 };
 
-/// View-based KeyStep resolution: same matching rules as the ArchiveNode
-/// overload in archive.h (plain text values match canonical "T<text>" or
-/// raw stored forms). Returns kNoNode if absent.
+/// Resolves a KeyStep against a node's children: finds the child whose
+/// label matches tag and key values (plain text values match canonical
+/// "T<text>" or raw stored forms). Returns kNoNode if absent.
 ArchiveView::NodeId FindChildByKeyStep(const ArchiveView& view,
                                        ArchiveView::NodeId parent,
                                        const KeyStep& step);
 
-/// View-based Archive::History: the set of versions in which the keyed
-/// element identified by `path` exists. Same results and error messages as
-/// Archive::History.
+/// The set of versions in which the keyed element identified by `path`
+/// exists, by child scans — Archive::History and the unindexed archive
+/// store both run it.
 StatusOr<VersionSet> HistoryOverView(const ArchiveView& view,
                                      const std::vector<KeyStep>& path);
 

@@ -26,6 +26,7 @@ std::vector<keys::Label> QueryLabels(const core::KeyStep& step) {
 
 ArchiveIndex::ArchiveIndex(const core::Archive& archive)
     : archive_(archive),
+      view_(&archive),
       built_at_generation_(archive.ingest_generation()) {
   BuildRecursive(archive.root());
 }
@@ -109,47 +110,29 @@ const core::ArchiveNode* ArchiveIndex::FindChildSorted(
   auto it = nodes_.find(&parent);
   if (it == nodes_.end()) return nullptr;
   const auto& sorted = it->second.sorted_children;
-  for (const keys::Label& query : QueryLabels(step)) {
-    size_t comparisons = 0;
-    auto pos = std::lower_bound(
-        sorted.begin(), sorted.end(), query,
-        [&comparisons](const core::ArchiveNode* a, const keys::Label& q) {
-          ++comparisons;
-          return a->label.Compare(q) < 0;
-        });
-    if (stats != nullptr) stats->comparisons += comparisons + 1;
-    if (pos != sorted.end() && (*pos)->label.Compare(query) == 0) {
-      return *pos;
-    }
-  }
-  return nullptr;
+  const size_t pos = FindSortedChild(
+      sorted.size(), step, stats, [&](size_t i, const keys::Label& query) {
+        return sorted[i]->label.Compare(query);
+      });
+  return pos == sorted.size() ? nullptr : sorted[pos];
 }
 
-StatusOr<VersionSet> ArchiveIndex::History(
-    const std::vector<core::KeyStep>& path, ProbeStats* stats) const {
-  const core::ArchiveNode* node = &archive_.root();
-  VersionSet effective = *archive_.root().stamp;
-  for (const auto& step : path) {
-    if (node->is_frontier) {
-      return Status::InvalidArgument("history path descends below frontier");
-    }
-    const core::ArchiveNode* child = FindChildSorted(*node, step, stats);
-    if (child == nullptr) {
-      return Status::NotFound("no element " + step.tag + " on the given path");
-    }
-    effective = child->EffectiveStamp(effective);
-    node = child;
-  }
-  return effective;
-}
-
-bool ArchiveIndex::RelevantChildren(const core::ArchiveNode& node, Version v,
+bool ArchiveIndex::RelevantChildren(NodeId node, Version v,
                                     std::vector<size_t>* relevant,
                                     size_t* probes) const {
-  auto it = nodes_.find(&node);
+  auto it = nodes_.find(&core::HeapArchiveView::Node(node));
   if (it == nodes_.end()) return false;
   *relevant = it->second.tree.Lookup(v, probes);
   return true;
+}
+
+ViewIndex::NodeId ArchiveIndex::FindChild(NodeId parent,
+                                          const core::KeyStep& step,
+                                          ProbeStats* stats) const {
+  const core::ArchiveNode* child =
+      FindChildSorted(core::HeapArchiveView::Node(parent), step, stats);
+  return child == nullptr ? core::ArchiveView::kNoNode
+                          : core::HeapArchiveView::Id(*child);
 }
 
 size_t ArchiveIndex::TreeNodeCount() const {

@@ -6,16 +6,10 @@
 
 #include "core/archive.h"
 #include "index/timestamp_tree.h"
+#include "index/view_index.h"
 #include "util/status.h"
 
 namespace xarch::index {
-
-/// Counters comparing indexed against naive access (the Sec. 7 analyses).
-struct ProbeStats {
-  size_t tree_probes = 0;    ///< timestamp-tree nodes inspected
-  size_t naive_probes = 0;   ///< children a full scan would inspect
-  size_t comparisons = 0;    ///< key comparisons (history lookups)
-};
 
 /// \brief Index structures over an Archive: a timestamp tree per inner node
 /// (Sec. 7.1) and sorted child-key lists for history lookups (Sec. 7.2).
@@ -32,7 +26,10 @@ struct ProbeStats {
 /// merge — never lazily from a read, where concurrent readers would race
 /// on the swap. After construction the index is immutable: every query
 /// method is const and safe to call from any number of threads.
-class ArchiveIndex {
+///
+/// As a ViewIndex its NodeIds are those of core::HeapArchiveView over the
+/// same archive (node pointers).
+class ArchiveIndex : public ViewIndex {
  public:
   explicit ArchiveIndex(const core::Archive& archive);
 
@@ -45,29 +42,21 @@ class ArchiveIndex {
   /// *stats (optional).
   StatusOr<xml::NodePtr> RetrieveVersion(Version v, ProbeStats* stats) const;
 
-  /// Temporal history via binary search over the sorted child-key lists:
-  /// O(l log d) comparisons for a path of length l and max degree d.
-  StatusOr<VersionSet> History(const std::vector<core::KeyStep>& path,
-                               ProbeStats* stats) const;
-
   /// Keyed child lookup via the sorted child-key list — the History step
-  /// primitive, exposed for the XAQL query evaluator. Returns nullptr when
-  /// no child carries the exact label (tag + all key values).
-  const core::ArchiveNode* FindChild(const core::ArchiveNode& parent,
-                                     const core::KeyStep& step,
-                                     ProbeStats* stats) const {
-    return FindChildSorted(parent, step, stats);
-  }
+  /// primitive (History costs O(l log d) comparisons for a path of length
+  /// l and max degree d). kNoNode when no child carries the exact label
+  /// (tag + all key values).
+  NodeId FindChild(NodeId parent, const core::KeyStep& step,
+                   ProbeStats* stats) const override;
 
   /// Pruned-subtree cursor hook (the Sec. 7.1 search applied below any
   /// archive node): fills `*relevant` with the indices of `node`'s
   /// children whose timestamp contains v, via the node's timestamp tree,
   /// and returns true. Returns false when `node` is not indexed (frontier
   /// nodes), directing the caller to a full child scan. `*probes` receives
-  /// the tree nodes inspected. Matches core::ChildSelector, so it plugs
-  /// straight into core::ScanCursor.
-  bool RelevantChildren(const core::ArchiveNode& node, Version v,
-                        std::vector<size_t>* relevant, size_t* probes) const;
+  /// the tree nodes inspected.
+  bool RelevantChildren(NodeId node, Version v, std::vector<size_t>* relevant,
+                        size_t* probes) const override;
 
   /// Total timestamp-tree nodes across the archive (index space cost).
   size_t TreeNodeCount() const;
@@ -86,6 +75,9 @@ class ArchiveIndex {
     return it == nodes_.end() ? nullptr : &it->second;
   }
 
+ protected:
+  const core::ArchiveView& view() const override { return view_; }
+
  private:
   void BuildRecursive(const core::ArchiveNode& node);
   const core::ArchiveNode* FindChildSorted(const core::ArchiveNode& parent,
@@ -93,15 +85,10 @@ class ArchiveIndex {
                                            ProbeStats* stats) const;
 
   const core::Archive& archive_;
+  core::HeapArchiveView view_;  // over archive_
   uint64_t built_at_generation_ = 0;
   std::unordered_map<const core::ArchiveNode*, NodeIndex> nodes_;
 };
-
-/// The candidate query labels for a KeyStep: values are plain text, stored
-/// values are canonical ("T" + text for element content, raw for
-/// attributes); both encodings are tried, canonical first. Shared between
-/// the heap index and the mapped XAR2 index so both probe identically.
-std::vector<keys::Label> QueryLabels(const core::KeyStep& step);
 
 }  // namespace xarch::index
 

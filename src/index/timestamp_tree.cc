@@ -1,7 +1,5 @@
 #include "index/timestamp_tree.h"
 
-#include <algorithm>
-
 namespace xarch::index {
 
 TimestampTree TimestampTree::Build(std::vector<VersionSet> child_stamps) {
@@ -37,44 +35,17 @@ TimestampTree TimestampTree::Build(std::vector<VersionSet> child_stamps) {
 
 std::vector<size_t> TimestampTree::Lookup(Version v, size_t* probes,
                                           size_t probe_budget) const {
-  std::vector<size_t> hits;
-  size_t probe_count = 0;
-  if (root_ >= 0) {
-    bool budget_hit = false;
-    // Iterative DFS with a probe budget (the paper's is 2k); on budget
-    // exhaustion, scan all k leaves instead.
-    std::vector<int> pending = {root_};
-    while (!pending.empty() && !budget_hit) {
-      int id = pending.back();
-      pending.pop_back();
-      const Node& node = nodes_[id];
-      ++probe_count;
-      if (!node.stamp.Contains(v)) continue;
-      if (node.left < 0) {
-        hits.push_back(node.leaf_lo);
-        continue;
-      }
-      if (probe_count >= probe_budget) {
-        budget_hit = true;
-        break;
-      }
-      // Right pushed first so the left child pops first (in-order hits).
-      pending.push_back(node.right);
-      pending.push_back(node.left);
+  struct Records {
+    const std::vector<Node>& nodes;
+    bool Contains(int id, Version version) const {
+      return nodes[id].stamp.Contains(version);
     }
-    if (budget_hit) {
-      hits.clear();
-      for (size_t i = 0; i < leaf_count_; ++i) {
-        const Node& leaf = nodes_[i];
-        ++probe_count;
-        if (leaf.stamp.Contains(v)) hits.push_back(i);
-      }
-    } else {
-      std::sort(hits.begin(), hits.end());
-    }
-  }
-  if (probes != nullptr) *probes = probe_count;
-  return hits;
+    int Left(int id) const { return nodes[id].left; }
+    int Right(int id) const { return nodes[id].right; }
+    size_t LeafLo(int id) const { return nodes[id].leaf_lo; }
+  };
+  return BudgetedTreeLookup(Records{nodes_}, root_, leaf_count_, v, probes,
+                            probe_budget);
 }
 
 }  // namespace xarch::index

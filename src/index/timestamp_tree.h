@@ -1,12 +1,63 @@
 #ifndef XARCH_INDEX_TIMESTAMP_TREE_H_
 #define XARCH_INDEX_TIMESTAMP_TREE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "util/version_set.h"
 
 namespace xarch::index {
+
+/// The Sec. 7.1 budgeted search over any storage of tree node records.
+/// The heap TimestampTree and the mapped XAR2 index pages both run this one
+/// body, so their hits and probe counts agree by construction. `records`
+/// answers Contains(id, v), Left(id) / Right(id) (-1 for leaves), and
+/// LeafLo(id); leaves occupy ids [0, leaf_count) in child order.
+///
+/// Iterative DFS from `root` (-1: empty tree). When the probe count reaches
+/// `probe_budget` at an inner node, the descent is abandoned and the
+/// leaves are scanned directly; the answer is identical either way.
+template <typename Records>
+std::vector<size_t> BudgetedTreeLookup(const Records& records, int root,
+                                       size_t leaf_count, Version v,
+                                       size_t* probes, size_t probe_budget) {
+  std::vector<size_t> hits;
+  size_t probe_count = 0;
+  if (root >= 0) {
+    bool budget_hit = false;
+    std::vector<int> pending = {root};
+    while (!pending.empty()) {
+      const int id = pending.back();
+      pending.pop_back();
+      ++probe_count;
+      if (!records.Contains(id, v)) continue;
+      const int left = records.Left(id);
+      if (left < 0) {
+        hits.push_back(records.LeafLo(id));
+        continue;
+      }
+      if (probe_count >= probe_budget) {
+        budget_hit = true;
+        break;
+      }
+      // Right pushed first so the left child pops first (in-order hits).
+      pending.push_back(records.Right(id));
+      pending.push_back(left);
+    }
+    if (budget_hit) {
+      hits.clear();
+      for (size_t i = 0; i < leaf_count; ++i) {
+        ++probe_count;
+        if (records.Contains(static_cast<int>(i), v)) hits.push_back(i);
+      }
+    } else {
+      std::sort(hits.begin(), hits.end());
+    }
+  }
+  if (probes != nullptr) *probes = probe_count;
+  return hits;
+}
 
 /// \brief The timestamp binary tree of Sec. 7.1.
 ///

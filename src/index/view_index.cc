@@ -1,7 +1,9 @@
 #include "index/view_index.h"
 
-#include <algorithm>
 #include <cstring>
+
+#include "index/archive_index.h"
+#include "index/timestamp_tree.h"
 
 namespace xarch::index {
 
@@ -71,10 +73,28 @@ int CompareFlatLabel(const FlatArchive& a, uint32_t node,
 
 }  // namespace
 
+StatusOr<VersionSet> ViewIndex::History(
+    const std::vector<core::KeyStep>& path, ProbeStats* stats) const {
+  const core::ArchiveView& archive = view();
+  NodeId node = archive.Root();
+  VersionSet effective = archive.StampValue(node);
+  for (const auto& step : path) {
+    if (archive.IsFrontier(node)) {
+      return Status::InvalidArgument("history path descends below frontier");
+    }
+    const NodeId child = FindChild(node, step, stats);
+    if (child == core::ArchiveView::kNoNode) {
+      return Status::NotFound("no element " + step.tag + " on the given path");
+    }
+    effective = archive.EffectiveStamp(child, effective);
+    node = child;
+  }
+  return effective;
+}
+
 StatusOr<FlatViewIndex> FlatViewIndex::Attach(const core::FlatArchive* archive,
                                               std::string_view section) {
-  FlatViewIndex index;
-  index.archive_ = archive;
+  FlatViewIndex index(archive);
   if (section.size() < 4) return Bad();
   const uint32_t node_count = LoadU32(section, 0);
   if (node_count != archive->node_count()) return Bad();
@@ -170,46 +190,20 @@ bool FlatViewIndex::EntryFor(uint32_t node, Entry* entry) const {
 
 std::vector<size_t> FlatViewIndex::TreeLookup(const Entry& entry, Version v,
                                               size_t* probes) const {
-  // TimestampTree::Lookup replayed over the mapped records: identical
-  // visit order, budget, and fallback, so probe counts match the heap
-  // index exactly.
-  std::vector<size_t> hits;
-  size_t probe_count = 0;
-  const size_t probe_budget = 2 * size_t{entry.leaf_count};
-  if (entry.root >= 0) {
-    bool budget_hit = false;
-    std::vector<int32_t> pending = {entry.root};
-    while (!pending.empty() && !budget_hit) {
-      const int32_t id = pending.back();
-      pending.pop_back();
-      ++probe_count;
-      if (!archive_->StampContains(TreeU32(entry.tree, id, 0), v)) continue;
-      const int32_t left = TreeI32(entry.tree, id, 3);
-      if (left < 0) {
-        hits.push_back(TreeU32(entry.tree, id, 1));
-        continue;
-      }
-      if (probe_count >= probe_budget) {
-        budget_hit = true;
-        break;
-      }
-      pending.push_back(TreeI32(entry.tree, id, 4));
-      pending.push_back(left);
+  // The persisted TimestampTree records, fed to the heap tree's own search.
+  struct Records {
+    const FlatArchive& archive;
+    std::string_view tree;
+    bool Contains(int id, Version version) const {
+      return archive.StampContains(TreeU32(tree, id, 0), version);
     }
-    if (budget_hit) {
-      hits.clear();
-      for (size_t i = 0; i < entry.leaf_count; ++i) {
-        ++probe_count;
-        if (archive_->StampContains(TreeU32(entry.tree, i, 0), v)) {
-          hits.push_back(i);
-        }
-      }
-    } else {
-      std::sort(hits.begin(), hits.end());
-    }
-  }
-  if (probes != nullptr) *probes = probe_count;
-  return hits;
+    int Left(int id) const { return TreeI32(tree, id, 3); }
+    int Right(int id) const { return TreeI32(tree, id, 4); }
+    size_t LeafLo(int id) const { return TreeU32(tree, id, 1); }
+  };
+  return BudgetedTreeLookup(Records{*archive_, entry.tree}, entry.root,
+                            entry.leaf_count, v, probes,
+                            2 * size_t{entry.leaf_count});
 }
 
 bool FlatViewIndex::RelevantChildren(NodeId node, Version v,
@@ -228,54 +222,14 @@ ViewIndex::NodeId FlatViewIndex::FindChild(NodeId parent,
   if (!EntryFor(static_cast<uint32_t>(parent), &entry)) {
     return core::ArchiveView::kNoNode;
   }
-  for (const keys::Label& query : QueryLabels(step)) {
-    // std::lower_bound replayed by hand over the mapped sorted-id records,
-    // counting comparator calls the way the heap path does.
-    size_t comparisons = 0;
-    size_t first = 0;
-    size_t count = entry.sorted_count;
-    while (count > 0) {
-      const size_t half = count / 2;
-      const size_t pos = first + half;
-      ++comparisons;
-      if (CompareFlatLabel(*archive_, SortedId(entry.sorted_ids, pos), query) <
-          0) {
-        first = pos + 1;
-        count -= half + 1;
-      } else {
-        count = half;
-      }
-    }
-    if (stats != nullptr) stats->comparisons += comparisons + 1;
-    if (first != entry.sorted_count) {
-      const uint32_t id = SortedId(entry.sorted_ids, first);
-      if (CompareFlatLabel(*archive_, id, query) == 0) return id;
-    }
-  }
-  return core::ArchiveView::kNoNode;
-}
-
-StatusOr<VersionSet> FlatViewIndex::History(
-    const std::vector<core::KeyStep>& path, ProbeStats* stats) const {
-  NodeId node = 0;
-  VersionSet effective = archive_->StampAt(
-      archive_->NodeField(0, FlatArchive::kNodeStampIdPlus1) - 1);
-  for (const auto& step : path) {
-    if ((archive_->NodeField(static_cast<uint32_t>(node),
-                             FlatArchive::kNodeFlags) &
-         FlatArchive::kFlagFrontier) != 0) {
-      return Status::InvalidArgument("history path descends below frontier");
-    }
-    const NodeId child = FindChild(node, step, stats);
-    if (child == core::ArchiveView::kNoNode) {
-      return Status::NotFound("no element " + step.tag + " on the given path");
-    }
-    const uint32_t stamp_plus1 = archive_->NodeField(
-        static_cast<uint32_t>(child), FlatArchive::kNodeStampIdPlus1);
-    if (stamp_plus1 != 0) effective = archive_->StampAt(stamp_plus1 - 1);
-    node = child;
-  }
-  return effective;
+  const size_t pos = FindSortedChild(
+      entry.sorted_count, step, stats,
+      [&](size_t i, const keys::Label& query) {
+        return CompareFlatLabel(*archive_, SortedId(entry.sorted_ids, i),
+                                query);
+      });
+  if (pos == entry.sorted_count) return core::ArchiveView::kNoNode;
+  return SortedId(entry.sorted_ids, pos);
 }
 
 std::string EncodeIndexPages(const ArchiveIndex& index,

@@ -9,18 +9,27 @@
 #include "core/archive.h"
 #include "core/flat_archive.h"
 #include "core/tree_view.h"
-#include "index/archive_index.h"
 #include "util/status.h"
 
 namespace xarch::index {
 
+class ArchiveIndex;
+
+/// Counters comparing indexed against naive access (the Sec. 7 analyses).
+struct ProbeStats {
+  size_t tree_probes = 0;    ///< timestamp-tree nodes inspected
+  size_t naive_probes = 0;   ///< children a full scan would inspect
+  size_t comparisons = 0;    ///< key comparisons (history lookups)
+};
+
 /// \brief Index access over an ArchiveView: the three query primitives the
-/// XAQL evaluator uses, answerable either by the heap ArchiveIndex or by
-/// the persisted XAR2 index pages navigated in place.
+/// XAQL evaluator uses, answered by the heap ArchiveIndex (over
+/// core::HeapArchiveView ids) or by the persisted XAR2 index pages
+/// navigated in place (over core::FlatArchiveView ids).
 ///
-/// Both implementations probe identically — same timestamp-tree search,
-/// same binary-search comparison counts — so EXPLAIN output matches across
-/// heap-opened and mapped-opened stores.
+/// Both implementations probe identically — they run the one
+/// BudgetedTreeLookup search and the one FindSortedChild binary search —
+/// so EXPLAIN output matches across heap-backed and mapped stores.
 class ViewIndex {
  public:
   using NodeId = core::ArchiveView::NodeId;
@@ -38,39 +47,50 @@ class ViewIndex {
   virtual NodeId FindChild(NodeId parent, const core::KeyStep& step,
                            ProbeStats* stats) const = 0;
 
-  /// Temporal history along a keyed path (Sec. 7.2 binary searches).
-  virtual StatusOr<VersionSet> History(const std::vector<core::KeyStep>& path,
-                                       ProbeStats* stats) const = 0;
-};
-
-/// ViewIndex over the heap ArchiveIndex (NodeIds are ArchiveNode pointers,
-/// as assigned by core::HeapArchiveView).
-class HeapViewIndex : public ViewIndex {
- public:
-  explicit HeapViewIndex(const ArchiveIndex* index) : index_(index) {}
-
-  bool RelevantChildren(NodeId node, Version v, std::vector<size_t>* relevant,
-                        size_t* probes) const override {
-    return index_->RelevantChildren(core::HeapArchiveView::Node(node), v,
-                                    relevant, probes);
-  }
-
-  NodeId FindChild(NodeId parent, const core::KeyStep& step,
-                   ProbeStats* stats) const override {
-    const core::ArchiveNode* child =
-        index_->FindChild(core::HeapArchiveView::Node(parent), step, stats);
-    return child == nullptr ? core::ArchiveView::kNoNode
-                            : core::HeapArchiveView::Id(*child);
-  }
-
+  /// Temporal history along a keyed path: FindChild's binary searches
+  /// down view(), one per step (Sec. 7.2).
   StatusOr<VersionSet> History(const std::vector<core::KeyStep>& path,
-                               ProbeStats* stats) const override {
-    return index_->History(path, stats);
-  }
+                               ProbeStats* stats) const;
 
- private:
-  const ArchiveIndex* index_;
+ protected:
+  /// The view whose NodeIds this index speaks.
+  virtual const core::ArchiveView& view() const = 0;
 };
+
+/// The candidate query labels for a KeyStep: values are plain text, stored
+/// values are canonical ("T" + text for element content, raw for
+/// attributes); both encodings are tried, canonical first. Shared between
+/// the heap index and the mapped XAR2 index so both probe identically.
+std::vector<keys::Label> QueryLabels(const core::KeyStep& step);
+
+/// The Sec. 7.2 sorted-child lookup both indexes run: for each candidate
+/// label of `step`, a lower-bound binary search over `count` children in
+/// label order, where `compare(i, label)` orders the i-th sorted child
+/// against the label (<0, 0, >0). Charges the comparisons plus one per
+/// label to stats->comparisons (optional). Returns the position of the
+/// exact match, or `count` when there is none.
+template <typename Compare>
+size_t FindSortedChild(size_t count, const core::KeyStep& step,
+                       ProbeStats* stats, const Compare& compare) {
+  for (const keys::Label& query : QueryLabels(step)) {
+    size_t comparisons = 0;
+    size_t first = 0;
+    size_t remaining = count;
+    while (remaining > 0) {
+      const size_t half = remaining / 2;
+      ++comparisons;
+      if (compare(first + half, query) < 0) {
+        first += half + 1;
+        remaining -= half + 1;
+      } else {
+        remaining = half;
+      }
+    }
+    if (stats != nullptr) stats->comparisons += comparisons + 1;
+    if (first != count && compare(first, query) == 0) return first;
+  }
+  return count;
+}
 
 /// \brief The persisted index pages of an XAR2 snapshot, navigated in
 /// place: per archive node, its timestamp tree (verbatim node records) and
@@ -88,7 +108,7 @@ class HeapViewIndex : public ViewIndex {
 ///
 /// Tree records persist TimestampTree::node(i) verbatim (leaves first, in
 /// child order), with stamps deduplicated into the archive's timestamp
-/// pool — Lookup here replays the exact heap search, probe for probe.
+/// pool — the lookup runs the heap tree's BudgetedTreeLookup over them.
 class FlatViewIndex : public ViewIndex {
  public:
   /// Validates the section against the attached archive (every id, offset,
@@ -100,10 +120,14 @@ class FlatViewIndex : public ViewIndex {
                         size_t* probes) const override;
   NodeId FindChild(NodeId parent, const core::KeyStep& step,
                    ProbeStats* stats) const override;
-  StatusOr<VersionSet> History(const std::vector<core::KeyStep>& path,
-                               ProbeStats* stats) const override;
+
+ protected:
+  const core::ArchiveView& view() const override { return view_; }
 
  private:
+  explicit FlatViewIndex(const core::FlatArchive* archive)
+      : archive_(archive), view_(archive) {}
+
   struct Entry {
     std::string_view sorted_ids;  // u32 records
     std::string_view tree;        // 20-byte records
@@ -118,7 +142,8 @@ class FlatViewIndex : public ViewIndex {
   std::vector<size_t> TreeLookup(const Entry& entry, Version v,
                                  size_t* probes) const;
 
-  const core::FlatArchive* archive_ = nullptr;
+  const core::FlatArchive* archive_;
+  core::FlatArchiveView view_;  // over *archive_
   std::string_view offsets_;  // u32 entry_offsets[node_count + 1]
   std::string_view blob_;
 };

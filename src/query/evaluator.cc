@@ -1,6 +1,5 @@
 #include "query/evaluator.h"
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -733,14 +732,10 @@ Status Evaluate(const Plan& plan, const core::Archive& archive,
                 const index::ArchiveIndex* index, Sink& sink,
                 EvalResult* result, const EvalOptions& options) {
   core::HeapArchiveView view(&archive);
-  std::optional<index::HeapViewIndex> view_index;
-  if (index != nullptr) view_index.emplace(index);
   ArchiveDiffFn diff = [&archive](Version from, Version to) {
     return core::DescribeChanges(archive, from, to);
   };
-  return EvaluateView(plan, view,
-                      view_index.has_value() ? &*view_index : nullptr, diff,
-                      sink, result, options);
+  return EvaluateView(plan, view, index, diff, sink, result, options);
 }
 
 Status EvaluateView(const Plan& plan, const core::ArchiveView& view,

@@ -83,17 +83,19 @@ Status Evaluate(const Plan& plan, const core::Archive& archive,
                 const index::ArchiveIndex* index, Sink& sink,
                 EvalResult* result, const EvalOptions& options = {});
 
-/// Change-list provider for `@ diff` on view evaluations. The heap path
-/// binds core::DescribeChanges; a mapped store materializes its archive
-/// once and binds the same. Null-valued = diff unsupported.
+/// Change-list provider for `@ diff` on view evaluations: core::
+/// DescribeChanges over the heap archive (which a store backed by a mapped
+/// snapshot materializes once, on first use). Null-valued = diff
+/// unsupported.
 using ArchiveDiffFn =
     std::function<StatusOr<std::vector<core::Change>>(Version from,
                                                       Version to)>;
 
 /// The archive-plan evaluator over any ArchiveView — the one
-/// implementation behind Evaluate(); mapped XAR2 stores call it directly
-/// with their FlatArchiveView + FlatViewIndex, producing bytes and probe
-/// counts identical to the heap path.
+/// implementation behind Evaluate(). The archive store calls it directly
+/// with its current view and index (FlatArchiveView + FlatViewIndex while
+/// backed by a mapped snapshot, HeapArchiveView + ArchiveIndex after),
+/// producing identical bytes and probe counts either way.
 Status EvaluateView(const Plan& plan, const core::ArchiveView& view,
                     const index::ViewIndex* index, const ArchiveDiffFn& diff,
                     Sink& sink, EvalResult* result,

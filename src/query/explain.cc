@@ -61,16 +61,6 @@ std::string FormatExplain(const Plan& plan, const EvalResult& result,
   return out;
 }
 
-Status ExplainArchive(const Plan& plan, const core::Archive& archive,
-                      const index::ArchiveIndex* index, Sink& sink,
-                      EvalResult* result, const EvalOptions& options) {
-  EvalResult local;
-  EvalResult& r = result != nullptr ? *result : local;
-  CountingSink discard;
-  Status eval_status = Evaluate(plan, archive, index, discard, &r, options);
-  return StreamReport(plan, r, eval_status, options.trace, sink);
-}
-
 Status ExplainView(const Plan& plan, const core::ArchiveView& view,
                    const index::ViewIndex* index, const ArchiveDiffFn& diff,
                    Sink& sink, EvalResult* result, const EvalOptions& options) {

@@ -11,13 +11,8 @@ namespace xarch::query {
 /// probes and the hypothetical full-scan probes in the same pass, one run
 /// reports indexed vs naive cost side by side.
 
-/// EXPLAIN over the archive plans.
-Status ExplainArchive(const Plan& plan, const core::Archive& archive,
-                      const index::ArchiveIndex* index, Sink& sink,
-                      EvalResult* result, const EvalOptions& options = {});
-
-/// EXPLAIN over any ArchiveView (the mapped XAR2 read path); the report's
-/// access line carries `mapped=true` when the view navigates mapped bytes.
+/// EXPLAIN over the archive plans, on any ArchiveView; the report's access
+/// line carries `mapped=true` when the view navigates mapped bytes.
 Status ExplainView(const Plan& plan, const core::ArchiveView& view,
                    const index::ViewIndex* index, const ArchiveDiffFn& diff,
                    Sink& sink, EvalResult* result,

@@ -351,11 +351,8 @@ bool Server::HandleQuery(const net::Socket& socket, const net::Frame& frame,
            .ok()) {
     return false;
   }
-  if (!net::WriteFrame(socket, net::MessageType::kDone, "",
-                       &session->bytes_out)
-           .ok()) {
-    return false;
-  }
+  // Count before DONE, as HandleIngest counts before INGEST_OK: a client
+  // holding its answer must never read stats that miss this query.
   const uint64_t duration_us = obs::MonotonicMicros() - t0_us;
   query_latency_us_->Record(duration_us);
   if (slow_log && duration_us >= static_cast<uint64_t>(
@@ -371,7 +368,9 @@ bool Server::HandleQuery(const net::Socket& socket, const net::Frame& frame,
   }
   counters_.queries.fetch_add(1, std::memory_order_relaxed);
   session->queries++;
-  return true;
+  return net::WriteFrame(socket, net::MessageType::kDone, "",
+                         &session->bytes_out)
+      .ok();
 }
 
 bool Server::HandleIngest(const net::Socket& socket, const net::Frame& frame,

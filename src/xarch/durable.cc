@@ -164,7 +164,6 @@ StatusOr<StoreOptions> ShardStoreTuning(const DurableOptions& options,
   out.inner = options.store.inner;
   out.use_index = options.store.use_index;
   out.shards = 1;
-  out.snapshot_format = options.store.snapshot_format;
   return out;
 }
 
@@ -313,8 +312,9 @@ StatusOr<std::unique_ptr<DurableStore>> DurableStore::Open(
   XARCH_ASSIGN_OR_RETURN(bool have_snapshot, vfs->Exists(snapshot_path));
   if (have_snapshot) {
     XARCH_ASSIGN_OR_RETURN(std::string bytes, vfs->ReadFile(snapshot_path));
-    // Format-agnostic probe: the snapshot may be XAR1 or XAR2 depending on
-    // the inner backend's snapshot_format at the last checkpoint.
+    // Format-agnostic probe: archive backends checkpoint as XAR2, the
+    // others as XAR1, and an archive snapshot written before XAR2 became
+    // the only archive format may still be XAR1.
     XARCH_ASSIGN_OR_RETURN(std::string saved_backend,
                            persist::ReadSnapshotBackend(bytes));
     if (saved_backend != options.backend) {

@@ -564,7 +564,6 @@ StatusOr<StoreOptions> ShardStoreOptions(const StoreOptions& base, size_t s) {
   out.inner = "archive";
   out.use_index = base.use_index;
   out.shards = 1;
-  out.snapshot_format = base.snapshot_format;
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include <cassert>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "compress/container.h"
@@ -318,15 +319,19 @@ std::string SpecToText(const keys::KeySpecSet& spec) {
   return out;
 }
 
-StatusOr<keys::KeySpecSet> SpecFromSnapshot(
-    const persist::SnapshotReader& snapshot) {
-  XARCH_ASSIGN_OR_RETURN(std::string_view text, snapshot.Section("spec"));
+StatusOr<keys::KeySpecSet> SpecFromText(std::string_view text) {
   auto spec = keys::ParseKeySpecSet(text);
   if (!spec.ok()) {
     return Status::DataLoss("snapshot key specification does not parse: " +
                             spec.status().message());
   }
   return spec;
+}
+
+StatusOr<keys::KeySpecSet> SpecFromSnapshot(
+    const persist::SnapshotReader& snapshot) {
+  XARCH_ASSIGN_OR_RETURN(std::string_view text, snapshot.Section("spec"));
+  return SpecFromText(text);
 }
 
 void EncodeArchiveOptions(const core::ArchiveOptions& options,
@@ -413,36 +418,82 @@ IngestMetrics MakeIngestMetrics(const std::string& backend) {
 
 // --------------------------------------------------------------- archive
 
+/// The "spec" and "opts" sections of an archive snapshot, decoded — shared
+/// by the parsed (XAR1) and mapped (XAR2) restore paths.
+struct ArchiveConfig {
+  keys::KeySpecSet spec;
+  core::ArchiveOptions options;
+  bool use_index = false;
+};
+
+StatusOr<ArchiveConfig> DecodeArchiveConfig(
+    std::string_view spec_text, std::string_view opts, const char* name,
+    core::FrontierStrategy expected_frontier) {
+  ArchiveConfig config;
+  XARCH_ASSIGN_OR_RETURN(config.spec, SpecFromText(spec_text));
+  persist::Cursor cursor(opts);
+  uint8_t use_index = 0;
+  XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, &config.options));
+  XARCH_RETURN_NOT_OK(cursor.ReadU8(&use_index));
+  XARCH_RETURN_NOT_OK(cursor.ExpectDone());
+  if (config.options.frontier != expected_frontier) {
+    return Status::DataLoss(
+        std::string("snapshot frontier strategy does not match backend \"") +
+        name + "\"");
+  }
+  config.use_index = use_index != 0;
+  return config;
+}
+
 /// The paper's key-based archive (bucket or weave frontier) behind Store.
+///
+/// Every read hook has one body over an ArchiveView plus an optional
+/// ViewIndex. A store opened from an XAR2 snapshot starts out backed by
+/// the mapping: the flat view and the persisted index pages, navigated in
+/// place, so open is O(mmap + checksum verify) and scans allocate no heap
+/// node. The heap archive is then materialized lazily, only for the
+/// operations that need it (diff walks, stored bytes, node counts). The
+/// first ingest materializes it for good and drops the mapping; from then
+/// on reads go through HeapArchiveView and the heap ArchiveIndex, which
+/// every ingest republishes. Stores created empty or restored from XAR1
+/// are heap-backed from the start.
 class ArchiveStore final : public Store {
  public:
-  ArchiveStore(std::string name, keys::KeySpecSet spec,
-               core::ArchiveOptions options, bool use_index,
-               int snapshot_format)
+  /// The mapped state of a store opened from XAR2, until its first ingest.
+  struct Mapping {
+    Mapping(persist::SnapshotView snapshot, core::FlatArchive flat,
+            ArchiveConfig config)
+        : snapshot(std::move(snapshot)),
+          flat(std::move(flat)),
+          view(&this->flat),
+          config(std::move(config)) {}
+
+    persist::SnapshotView snapshot;
+    core::FlatArchive flat;  // views into snapshot's bytes
+    core::FlatArchiveView view;
+    std::optional<index::FlatViewIndex> index;  // when the snapshot has one
+    ArchiveConfig config;  // to materialize the heap archive
+  };
+
+  /// Heap-backed: a fresh archive, or one parsed from an XAR1 snapshot.
+  /// The index is built here even over an empty archive, so readers never
+  /// see a null index while use_index_ is set.
+  ArchiveStore(std::string name, core::Archive archive, bool use_index)
       : name_(std::move(name)),
-        archive_(std::move(spec), options),
         use_index_(use_index),
-        snapshot_format_(snapshot_format),
-        ingest_metrics_(MakeIngestMetrics(name_)) {
-    // The index over the empty archive, so readers never see a null index
-    // while use_index_ is set; every ingest republishes it.
+        ingest_metrics_(MakeIngestMetrics(name_)),
+        archive_(std::make_unique<core::Archive>(std::move(archive))),
+        heap_view_(archive_.get()) {
     PublishIndex();
   }
 
-  /// Restore path: adopts an archive loaded from a snapshot. The heap
-  /// index is rebuilt from scratch here — XAR2 snapshots do persist index
-  /// pages, but those serve the mapped read path; the heap store's index
-  /// is derived state and rebuild-on-open keeps it consistent with
-  /// whatever ingest follows.
-  ArchiveStore(std::string name, core::Archive archive, bool use_index,
-               int snapshot_format)
+  /// Mapped: reads navigate the snapshot until the first ingest.
+  ArchiveStore(std::string name, std::unique_ptr<Mapping> mapping)
       : name_(std::move(name)),
-        archive_(std::move(archive)),
-        use_index_(use_index),
-        snapshot_format_(snapshot_format),
-        ingest_metrics_(MakeIngestMetrics(name_)) {
-    PublishIndex();
-  }
+        use_index_(mapping->config.use_index),
+        ingest_metrics_(MakeIngestMetrics(name_)),
+        mapping_(std::move(mapping)),
+        heap_view_(nullptr) {}
 
   std::string name() const override { return name_; }
   Capabilities capabilities() const override {
@@ -450,10 +501,63 @@ class ArchiveStore final : public Store {
            kPersistence;
   }
 
+  /// XAR1 restore: parses the snapshot's archive section onto the heap.
+  static StatusOr<std::unique_ptr<Store>> Restore(
+      const persist::SnapshotReader& snapshot, const char* name,
+      core::FrontierStrategy expected_frontier) {
+    XARCH_ASSIGN_OR_RETURN(std::string_view spec, snapshot.Section("spec"));
+    XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
+    XARCH_ASSIGN_OR_RETURN(
+        ArchiveConfig config,
+        DecodeArchiveConfig(spec, opts, name, expected_frontier));
+    XARCH_ASSIGN_OR_RETURN(std::string_view xml, snapshot.Section("archive"));
+    XARCH_ASSIGN_OR_RETURN(
+        core::Archive archive,
+        ArchiveFromSnapshotXml(xml, std::move(config.spec), config.options));
+    return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
+        name, std::move(archive), config.use_index));
+  }
+
+  /// XAR2 restore: attaches the flat sections (and index pages when
+  /// present) of an already-verified snapshot view.
+  static StatusOr<std::unique_ptr<Store>> Restore(
+      const persist::SnapshotView& snapshot, const char* name,
+      core::FrontierStrategy expected_frontier) {
+    XARCH_ASSIGN_OR_RETURN(std::string spec, snapshot.SectionString("spec"));
+    XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
+    XARCH_ASSIGN_OR_RETURN(
+        ArchiveConfig config,
+        DecodeArchiveConfig(spec, opts, name, expected_frontier));
+    core::FlatArchive::Sections sections;
+    XARCH_ASSIGN_OR_RETURN(sections.meta, snapshot.RawSection("meta"));
+    XARCH_ASSIGN_OR_RETURN(sections.strings, snapshot.RawSection("strings"));
+    XARCH_ASSIGN_OR_RETURN(sections.stamps, snapshot.RawSection("stamps"));
+    XARCH_ASSIGN_OR_RETURN(sections.nodes, snapshot.RawSection("nodes"));
+    XARCH_ASSIGN_OR_RETURN(sections.parts, snapshot.RawSection("parts"));
+    XARCH_ASSIGN_OR_RETURN(sections.attrs, snapshot.RawSection("attrs"));
+    XARCH_ASSIGN_OR_RETURN(sections.buckets, snapshot.RawSection("buckets"));
+    XARCH_ASSIGN_OR_RETURN(sections.content, snapshot.RawSection("content"));
+    XARCH_ASSIGN_OR_RETURN(core::FlatArchive flat,
+                           core::FlatArchive::Attach(sections));
+    auto mapping =
+        std::make_unique<Mapping>(snapshot, std::move(flat), std::move(config));
+    if (snapshot.HasSection("index")) {
+      XARCH_ASSIGN_OR_RETURN(std::string_view pages,
+                             snapshot.RawSection("index"));
+      XARCH_ASSIGN_OR_RETURN(
+          index::FlatViewIndex index,
+          index::FlatViewIndex::Attach(&mapping->flat, pages));
+      mapping->index.emplace(std::move(index));
+    }
+    return std::unique_ptr<Store>(
+        std::make_unique<ArchiveStore>(name, std::move(mapping)));
+  }
+
  protected:
   Status AppendImpl(std::string_view xml_text) override {
     XARCH_ASSIGN_OR_RETURN(xml::NodePtr doc, xml::Parse(xml_text));
-    XARCH_RETURN_NOT_OK(archive_.AddVersion(*doc));
+    XARCH_RETURN_NOT_OK(Promote());
+    XARCH_RETURN_NOT_OK(archive_->AddVersion(*doc));
     PublishIndex();
     ingest_metrics_.Record(1);
     return Status::OK();
@@ -470,7 +574,8 @@ class ArchiveStore final : public Store {
       roots.push_back(doc.get());
       docs.push_back(std::move(doc));
     }
-    XARCH_RETURN_NOT_OK(archive_.AddVersions(roots));  // one merge pass
+    XARCH_RETURN_NOT_OK(Promote());
+    XARCH_RETURN_NOT_OK(archive_->AddVersions(roots));  // one merge pass
     PublishIndex();
     ingest_metrics_.Record(xml_texts.size());
     return Status::OK();
@@ -483,19 +588,22 @@ class ArchiveStore final : public Store {
   }
 
   Status RetrieveToImpl(Version v, Sink& sink) override {
-    if (v == 0 || v > archive_.version_count()) {
+    const core::ArchiveView& view = View();
+    if (v == 0 || v > view.version_count()) {
       return Status::NotFound("version " + std::to_string(v) +
                               " is not archived (have 1-" +
-                              std::to_string(archive_.version_count()) + ")");
+                              std::to_string(view.version_count()) + ")");
     }
     // The Sec. 7.1 scan fused with serialization: straight off the merged
     // hierarchy, no xml::Node is ever constructed.
     core::ScanCursor cursor(
         xml::SerializeOptions{},
         [&sink](std::string_view chunk) { return sink.Append(chunk); });
-    for (const auto& child : archive_.root().children) {
-      if (child->stamp.has_value() && !child->stamp->Contains(v)) continue;
-      XARCH_RETURN_NOT_OK(cursor.Scan(*child, v, 0));
+    const core::ArchiveView::NodeId root = view.Root();
+    for (size_t i = 0; i < view.ChildCount(root); ++i) {
+      const core::ArchiveView::NodeId child = view.Child(root, i);
+      if (view.HasStamp(child) && !view.StampContains(child, v)) continue;
+      XARCH_RETURN_NOT_OK(cursor.Scan(view, child, v, 0));
       break;  // exactly one top element is active per version
     }
     XARCH_RETURN_NOT_OK(cursor.Finish());
@@ -504,22 +612,27 @@ class ArchiveStore final : public Store {
 
   StatusOr<VersionSet> HistoryImpl(
       const std::vector<core::KeyStep>& path) override {
-    if (index_ != nullptr) return index_->History(path, nullptr);
-    return archive_.History(path);
+    if (const index::ViewIndex* index = Index()) {
+      return index->History(path, nullptr);
+    }
+    return core::HistoryOverView(View(), path);
   }
 
   StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
                                                        Version to) override {
-    return core::DescribeChanges(archive_, from, to);
+    XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
+    return core::DescribeChanges(*heap, from, to);
   }
 
   Status QueryImpl(std::string_view query_text, Sink& sink,
                    obs::Trace* trace) override {
-    // Diff queries run the change walk and never touch the index. The
-    // index itself was published by the last ingest, under the writer
-    // lock — the read path only ever dereferences it (the Sec. 7 stale-
-    // index hazard is handled at ingest, where it belongs).
-    const index::ArchiveIndex* index = nullptr;
+    // Diff queries run the change walk and never touch the index. The heap
+    // index was published by the last ingest, under the writer lock — the
+    // read path only ever dereferences it (the Sec. 7 stale-index hazard
+    // is handled at ingest, where it belongs).
+    assert(mapping_ != nullptr || index_ == nullptr ||
+           index_->built_at_generation() == archive_->ingest_generation());
+    const index::ViewIndex* index = nullptr;
     obs::Trace analyze_trace;
     XARCH_ASSIGN_OR_RETURN(
         query::Plan plan,
@@ -527,69 +640,69 @@ class ArchiveStore final : public Store {
                            [&](const query::Query& ast) {
                              if (ast.temporal.kind !=
                                  query::TemporalKind::kDiff) {
-                               index = index_.get();
+                               index = Index();
                              }
                              return index != nullptr
                                         ? query::Access::kArchiveIndexed
                                         : query::Access::kArchiveScan;
                            }));
-    assert(index == nullptr ||
-           index->built_at_generation() == archive_.ingest_generation());
+    query::ArchiveDiffFn diff = [this](Version from, Version to) {
+      return DiffVersionsImpl(from, to);
+    };
     query::EvalOptions eval_options;
     eval_options.pool = &util::ThreadPool::Shared();
     eval_options.trace = trace;
     query::EvalResult result;
-    Status status =
-        plan.ast.explain
-            ? query::ExplainArchive(plan, archive_, index, sink, &result,
-                                    eval_options)
-            : query::Evaluate(plan, archive_, index, sink, &result,
-                              eval_options);
+    Status status = plan.ast.explain
+                        ? query::ExplainView(plan, View(), index, diff, sink,
+                                             &result, eval_options)
+                        : query::EvaluateView(plan, View(), index, diff, sink,
+                                              &result, eval_options);
     CountQuery(result);
     return status;
   }
 
-  Version VersionCountImpl() const override {
-    return archive_.version_count();
-  }
+  Version VersionCountImpl() const override { return View().version_count(); }
 
   StoreStats BackendStats() const override {
     StoreStats stats;
-    stats.versions = archive_.version_count();
+    stats.versions = View().version_count();
     stats.stored_bytes = StoredBytesImpl().size();
-    stats.node_count = archive_.CountNodes();
-    stats.merge_passes = archive_.merge_pass_count();
+    auto heap = HeapArchive();
+    if (heap.ok()) {
+      stats.node_count = (*heap)->CountNodes();
+      stats.merge_passes = (*heap)->merge_pass_count();
+    }
     return stats;
   }
 
   std::string StoredBytesImpl() const override {
     // Indentation-free form: the archive nests two levels deeper than a
     // version, so indentation would bias size comparisons against it.
+    auto heap = HeapArchive();
+    if (!heap.ok()) return std::string();
     core::ArchiveSerializeOptions options;
     options.indent_width = 0;
-    return archive_.ToXml(options);
+    return (*heap)->ToXml(options);
   }
 
-  Status SnapshotImpl(persist::SnapshotWriter& writer) const override {
+  StatusOr<std::string> SnapshotBytesImpl() const override {
+    // Unmodified since open, the snapshot is the mapped file itself.
+    if (mapping_ != nullptr) return std::string(mapping_->snapshot.bytes());
     std::string opts;
-    EncodeArchiveOptions(archive_.options(), &opts);
+    EncodeArchiveOptions(archive_->options(), &opts);
     persist::PutU8(use_index_ ? 1 : 0, &opts);
-    if (snapshot_format_ != 2) {
-      writer.Add("backend", name_);
-      writer.Add("spec", SpecToText(archive_.spec()));
-      writer.Add("opts", std::move(opts));
-      writer.Add("archive", ArchiveXmlCompact(archive_));
-      return Status::OK();
-    }
+    persist::SnapshotWriter::Options options;
+    options.format = persist::kContainerFormatVersion2;
+    persist::SnapshotWriter writer(options);
     // XAR2: the metadata and flat sections are stored raw so a mapped
     // reader navigates them in place; only the archive XML (kept for heap
-    // materialization and the v1-style restore of derived state) is worth
-    // compressing.
+    // materialization) is worth compressing.
     writer.AddRaw("backend", name_);
-    writer.AddRaw("spec", SpecToText(archive_.spec()));
+    writer.AddRaw("spec", SpecToText(archive_->spec()));
     writer.AddRaw("opts", std::move(opts));
-    writer.Add("archive", ArchiveXmlCompact(archive_));
-    core::FlatArchiveEncoder encoder(archive_);
+    writer.Add("archive", ArchiveXmlCompact(*archive_));
+    core::FlatArchiveEncoder encoder(*archive_);
     encoder.EncodeStructure();
     std::string index_pages;
     if (index_ != nullptr) {
@@ -607,331 +720,70 @@ class ArchiveStore final : public Store {
     writer.AddRaw("buckets", std::move(flat.buckets));
     writer.AddRaw("content", std::move(flat.content));
     if (index_ != nullptr) writer.AddRaw("index", std::move(index_pages));
-    return Status::OK();
-  }
-
-  StatusOr<std::string> SnapshotBytesImpl() const override {
-    persist::SnapshotWriter::Options options;
-    options.format = snapshot_format_ == 2 ? persist::kContainerFormatVersion2
-                                           : persist::kContainerFormatVersion;
-    persist::SnapshotWriter writer(options);
-    XARCH_RETURN_NOT_OK(SnapshotImpl(writer));
     return writer.Serialize();
   }
 
- public:
-  static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotReader& snapshot, const char* name,
-      core::FrontierStrategy expected_frontier, int snapshot_format) {
-    XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, SpecFromSnapshot(snapshot));
-    XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
-    persist::Cursor cursor(opts);
-    core::ArchiveOptions options;
-    uint8_t use_index = 0;
-    XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, &options));
-    XARCH_RETURN_NOT_OK(cursor.ReadU8(&use_index));
-    XARCH_RETURN_NOT_OK(cursor.ExpectDone());
-    if (options.frontier != expected_frontier) {
-      return Status::DataLoss(
-          std::string("snapshot frontier strategy does not match backend \"") +
-          name + "\"");
-    }
-    XARCH_ASSIGN_OR_RETURN(std::string_view xml, snapshot.Section("archive"));
-    XARCH_ASSIGN_OR_RETURN(
-        core::Archive archive,
-        ArchiveFromSnapshotXml(xml, std::move(spec), options));
-    return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
-        name, std::move(archive), use_index != 0, snapshot_format));
+ private:
+  /// What the read hooks navigate: the mapped flat view, or the heap.
+  const core::ArchiveView& View() const {
+    if (mapping_ != nullptr) return mapping_->view;
+    return heap_view_;
   }
 
- private:
+  /// The index over View(), or nullptr when the store is unindexed.
+  const index::ViewIndex* Index() const {
+    if (mapping_ == nullptr) return index_.get();
+    return mapping_->index.has_value() ? &*mapping_->index : nullptr;
+  }
+
+  /// The heap archive; while mapped, parsed from the snapshot's archive
+  /// XML on first use. Read hooks run under the SHARED store lock, so the
+  /// lazy build has its own mutex; the archive is never dropped.
+  StatusOr<const core::Archive*> HeapArchive() const {
+    if (mapping_ == nullptr) return archive_.get();
+    std::lock_guard<std::mutex> lock(heap_mu_);
+    if (archive_ == nullptr) {
+      XARCH_ASSIGN_OR_RETURN(std::string xml,
+                             mapping_->snapshot.SectionString("archive"));
+      XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec,
+                             mapping_->config.spec.Clone());
+      XARCH_ASSIGN_OR_RETURN(core::Archive archive,
+                             ArchiveFromSnapshotXml(xml, std::move(spec),
+                                                    mapping_->config.options));
+      archive_ = std::make_unique<core::Archive>(std::move(archive));
+    }
+    return archive_.get();
+  }
+
+  /// Writes stay heap: the first ingest into a mapped store materializes
+  /// the archive in place (reusing one a read already built), drops the
+  /// mapping, and publishes the heap index. Runs under the exclusive lock
+  /// every ingest holds, so no reader sees the switch.
+  Status Promote() {
+    if (mapping_ == nullptr) return Status::OK();
+    XARCH_RETURN_NOT_OK(HeapArchive().status());
+    mapping_.reset();
+    heap_view_ = core::HeapArchiveView(archive_.get());
+    PublishIndex();
+    return Status::OK();
+  }
+
   /// The synchronized publish step: (re)builds the index from the ingest
   /// path, under the exclusive lock every ingest already holds — readers
   /// can never observe the swap, and the read path never mutates.
   void PublishIndex() {
     if (!use_index_) return;
-    index_ = std::make_unique<index::ArchiveIndex>(archive_);
+    index_ = std::make_unique<index::ArchiveIndex>(*archive_);
   }
 
   std::string name_;
-  core::Archive archive_;
   bool use_index_;
-  int snapshot_format_;
   IngestMetrics ingest_metrics_;
+  std::unique_ptr<Mapping> mapping_;  // null once heap-backed
+  mutable std::mutex heap_mu_;        // guards archive_ while mapped
+  mutable std::unique_ptr<core::Archive> archive_;
+  core::HeapArchiveView heap_view_;              // over *archive_
   std::unique_ptr<index::ArchiveIndex> index_;  // published by ingest
-};
-
-// ------------------------------------------------------- mapped archive
-
-/// An archive store open directly over a mapped XAR2 snapshot. Retrieval,
-/// history, and queries navigate the flat record arenas in place — open is
-/// O(mmap + checksum verify) and the scan allocates no xml::Node (nor any
-/// heap ArchiveNode). The heap archive is materialized lazily, only for
-/// the operations that genuinely need it (diff walks, stored-bytes
-/// serialization); the first ingest promotes the whole store to a heap
-/// ArchiveStore and forwards to it from then on.
-class MappedArchiveStore final : public Store {
- public:
-  MappedArchiveStore(std::string name, persist::SnapshotView snapshot,
-                     std::unique_ptr<core::FlatArchive> flat,
-                     std::unique_ptr<index::FlatViewIndex> flat_index,
-                     keys::KeySpecSet spec, core::ArchiveOptions options,
-                     bool use_index, int snapshot_format)
-      : name_(std::move(name)),
-        snapshot_(std::move(snapshot)),
-        flat_(std::move(flat)),
-        flat_index_(std::move(flat_index)),
-        view_(flat_.get()),
-        spec_(std::move(spec)),
-        options_(options),
-        use_index_(use_index),
-        snapshot_format_(snapshot_format) {}
-
-  std::string name() const override { return name_; }
-  Capabilities capabilities() const override {
-    return kTemporalQueries | kStreamingRetrieve | kBatchIngest | kQuery |
-           kPersistence;
-  }
-
-  /// Mapped restore path: attaches the flat sections (and index pages when
-  /// present) of an already-verified XAR2 snapshot view.
-  static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotView& snapshot, const char* name,
-      core::FrontierStrategy expected_frontier, int snapshot_format) {
-    XARCH_ASSIGN_OR_RETURN(std::string spec_text,
-                           snapshot.SectionString("spec"));
-    auto spec = keys::ParseKeySpecSet(spec_text);
-    if (!spec.ok()) {
-      return Status::DataLoss("snapshot key specification does not parse: " +
-                              spec.status().message());
-    }
-    XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
-    persist::Cursor cursor(opts);
-    core::ArchiveOptions options;
-    uint8_t use_index = 0;
-    XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, &options));
-    XARCH_RETURN_NOT_OK(cursor.ReadU8(&use_index));
-    XARCH_RETURN_NOT_OK(cursor.ExpectDone());
-    if (options.frontier != expected_frontier) {
-      return Status::DataLoss(
-          std::string("snapshot frontier strategy does not match backend \"") +
-          name + "\"");
-    }
-    core::FlatArchive::Sections sections;
-    XARCH_ASSIGN_OR_RETURN(sections.meta, snapshot.RawSection("meta"));
-    XARCH_ASSIGN_OR_RETURN(sections.strings, snapshot.RawSection("strings"));
-    XARCH_ASSIGN_OR_RETURN(sections.stamps, snapshot.RawSection("stamps"));
-    XARCH_ASSIGN_OR_RETURN(sections.nodes, snapshot.RawSection("nodes"));
-    XARCH_ASSIGN_OR_RETURN(sections.parts, snapshot.RawSection("parts"));
-    XARCH_ASSIGN_OR_RETURN(sections.attrs, snapshot.RawSection("attrs"));
-    XARCH_ASSIGN_OR_RETURN(sections.buckets, snapshot.RawSection("buckets"));
-    XARCH_ASSIGN_OR_RETURN(sections.content, snapshot.RawSection("content"));
-    XARCH_ASSIGN_OR_RETURN(core::FlatArchive flat,
-                           core::FlatArchive::Attach(sections));
-    auto flat_owned = std::make_unique<core::FlatArchive>(std::move(flat));
-    std::unique_ptr<index::FlatViewIndex> flat_index;
-    if (snapshot.HasSection("index")) {
-      XARCH_ASSIGN_OR_RETURN(std::string_view pages,
-                             snapshot.RawSection("index"));
-      XARCH_ASSIGN_OR_RETURN(
-          index::FlatViewIndex attached,
-          index::FlatViewIndex::Attach(flat_owned.get(), pages));
-      flat_index = std::make_unique<index::FlatViewIndex>(std::move(attached));
-    }
-    return std::unique_ptr<Store>(std::make_unique<MappedArchiveStore>(
-        name, snapshot, std::move(flat_owned), std::move(flat_index),
-        std::move(*spec), options, use_index != 0, snapshot_format));
-  }
-
- protected:
-  Status AppendImpl(std::string_view xml_text) override {
-    XARCH_RETURN_NOT_OK(Promote());
-    return promoted_->Append(xml_text);
-  }
-
-  Status AppendBatchImpl(
-      const std::vector<std::string_view>& xml_texts) override {
-    XARCH_RETURN_NOT_OK(Promote());
-    return promoted_->AppendBatch(xml_texts);
-  }
-
-  StatusOr<std::string> RetrieveImpl(Version v) override {
-    if (promoted_ != nullptr) return promoted_->Retrieve(v);
-    StringSink sink;
-    XARCH_RETURN_NOT_OK(RetrieveToImpl(v, sink));
-    return std::move(sink).Take();
-  }
-
-  Status RetrieveToImpl(Version v, Sink& sink) override {
-    if (promoted_ != nullptr) return promoted_->RetrieveTo(v, sink);
-    if (v == 0 || v > flat_->version_count()) {
-      return Status::NotFound("version " + std::to_string(v) +
-                              " is not archived (have 1-" +
-                              std::to_string(flat_->version_count()) + ")");
-    }
-    // The same fused scan as the heap store, driven by record offsets
-    // instead of node pointers.
-    core::ScanCursor cursor(
-        xml::SerializeOptions{},
-        [&sink](std::string_view chunk) { return sink.Append(chunk); });
-    const core::ArchiveView::NodeId root = view_.Root();
-    for (size_t i = 0; i < view_.ChildCount(root); ++i) {
-      const core::ArchiveView::NodeId child = view_.Child(root, i);
-      if (view_.HasStamp(child) && !view_.StampContains(child, v)) continue;
-      XARCH_RETURN_NOT_OK(cursor.Scan(view_, child, v, 0));
-      break;  // exactly one top element is active per version
-    }
-    XARCH_RETURN_NOT_OK(cursor.Finish());
-    return sink.Flush();
-  }
-
-  StatusOr<VersionSet> HistoryImpl(
-      const std::vector<core::KeyStep>& path) override {
-    if (promoted_ != nullptr) return promoted_->History(path);
-    if (flat_index_ != nullptr) return flat_index_->History(path, nullptr);
-    return core::HistoryOverView(view_, path);
-  }
-
-  StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
-                                                       Version to) override {
-    if (promoted_ != nullptr) return promoted_->DiffVersions(from, to);
-    XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
-    return core::DescribeChanges(*heap, from, to);
-  }
-
-  Status QueryImpl(std::string_view query_text, Sink& sink,
-                   obs::Trace* trace) override {
-    if (promoted_ != nullptr) return promoted_->Query(query_text, sink, trace);
-    const index::ViewIndex* index = nullptr;
-    obs::Trace analyze_trace;
-    XARCH_ASSIGN_OR_RETURN(
-        query::Plan plan,
-        ParseAndPlanTraced(query_text, &analyze_trace, &trace,
-                           [&](const query::Query& ast) {
-                             if (ast.temporal.kind !=
-                                 query::TemporalKind::kDiff) {
-                               index = flat_index_.get();
-                             }
-                             return index != nullptr
-                                        ? query::Access::kArchiveIndexed
-                                        : query::Access::kArchiveScan;
-                           }));
-    query::ArchiveDiffFn diff =
-        [this](Version from, Version to) -> StatusOr<std::vector<core::Change>> {
-      XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
-      return core::DescribeChanges(*heap, from, to);
-    };
-    query::EvalOptions eval_options;
-    eval_options.pool = &util::ThreadPool::Shared();
-    eval_options.trace = trace;
-    query::EvalResult result;
-    Status status = plan.ast.explain
-                        ? query::ExplainView(plan, view_, index, diff, sink,
-                                             &result, eval_options)
-                        : query::EvaluateView(plan, view_, index, diff, sink,
-                                              &result, eval_options);
-    CountQuery(result);
-    return status;
-  }
-
-  Version VersionCountImpl() const override {
-    return promoted_ != nullptr ? promoted_->version_count()
-                                : flat_->version_count();
-  }
-
-  StoreStats BackendStats() const override {
-    if (promoted_ != nullptr) return promoted_->Stats();
-    StoreStats stats;
-    stats.versions = flat_->version_count();
-    stats.stored_bytes = StoredBytesImpl().size();
-    auto heap = HeapArchive();
-    if (heap.ok()) stats.node_count = (*heap)->CountNodes();
-    return stats;
-  }
-
-  std::string StoredBytesImpl() const override {
-    if (promoted_ != nullptr) return promoted_->StoredBytes();
-    auto heap = HeapArchive();
-    if (!heap.ok()) return std::string();
-    core::ArchiveSerializeOptions options;
-    options.indent_width = 0;
-    return (*heap)->ToXml(options);
-  }
-
-  StatusOr<std::string> SnapshotBytesImpl() const override {
-    // Unmodified, the snapshot is the mapped file itself, byte for byte;
-    // after promotion the heap store serializes fresh sections.
-    if (promoted_ != nullptr) return promoted_->SaveToBytes();
-    if (snapshot_format_ != 2) {
-      // Asked to downgrade: re-emit the legacy container from the
-      // snapshot's own backend/spec/opts/archive sections — the same
-      // bytes a heap ArchiveStore with snapshot_format=1 would write.
-      persist::SnapshotWriter writer;
-      for (const char* section : {"backend", "spec", "opts", "archive"}) {
-        XARCH_ASSIGN_OR_RETURN(std::string text,
-                               snapshot_.SectionString(section));
-        writer.Add(section, text);
-      }
-      return writer.Serialize();
-    }
-    return std::string(snapshot_.bytes());
-  }
-
- private:
-  /// The lazily-materialized heap archive (parsed from the snapshot's
-  /// archive XML). Read hooks run under the SHARED store lock, so the
-  /// cache has its own mutex; the result pointer is stable until Promote,
-  /// which runs under the exclusive lock with no readers in flight.
-  StatusOr<const core::Archive*> HeapArchive() const {
-    std::lock_guard<std::mutex> lock(heap_mu_);
-    if (heap_ == nullptr) {
-      XARCH_ASSIGN_OR_RETURN(std::string xml,
-                             snapshot_.SectionString("archive"));
-      XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, spec_.Clone());
-      XARCH_ASSIGN_OR_RETURN(
-          core::Archive archive,
-          ArchiveFromSnapshotXml(xml, std::move(spec), options_));
-      heap_ = std::make_unique<core::Archive>(std::move(archive));
-    }
-    return heap_.get();
-  }
-
-  /// Writes stay heap: the first ingest materializes the archive once and
-  /// swaps in a full ArchiveStore (under the exclusive lock every ingest
-  /// holds). The next SaveToBytes then re-emits fresh XAR2 sections.
-  Status Promote() {
-    if (promoted_ != nullptr) return Status::OK();
-    std::unique_ptr<core::Archive> heap;
-    {
-      std::lock_guard<std::mutex> lock(heap_mu_);
-      heap = std::move(heap_);
-    }
-    if (heap == nullptr) {
-      XARCH_ASSIGN_OR_RETURN(std::string xml,
-                             snapshot_.SectionString("archive"));
-      XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, spec_.Clone());
-      XARCH_ASSIGN_OR_RETURN(
-          core::Archive archive,
-          ArchiveFromSnapshotXml(xml, std::move(spec), options_));
-      heap = std::make_unique<core::Archive>(std::move(archive));
-    }
-    promoted_ = std::make_unique<ArchiveStore>(name_, std::move(*heap),
-                                               use_index_, snapshot_format_);
-    return Status::OK();
-  }
-
-  std::string name_;
-  persist::SnapshotView snapshot_;
-  std::unique_ptr<core::FlatArchive> flat_;   // views into snapshot_ bytes
-  std::unique_ptr<index::FlatViewIndex> flat_index_;  // null when unindexed
-  core::FlatArchiveView view_;                // over *flat_
-  keys::KeySpecSet spec_;
-  core::ArchiveOptions options_;
-  bool use_index_;
-  int snapshot_format_;
-  mutable std::mutex heap_mu_;
-  mutable std::unique_ptr<core::Archive> heap_;
-  std::unique_ptr<Store> promoted_;  // set by the first ingest
 };
 
 // -------------------------------------------------- diff / copy baselines
@@ -1429,26 +1281,16 @@ Status RequireSpec(const StoreOptions& options, const char* backend) {
   return Status::OK();
 }
 
-Status RequireSnapshotFormat(const StoreOptions& options) {
-  if (options.snapshot_format != 1 && options.snapshot_format != 2) {
-    return Status::InvalidArgument(
-        "StoreOptions::snapshot_format must be 1 (XAR1) or 2 (XAR2), got " +
-        std::to_string(options.snapshot_format));
-  }
-  return Status::OK();
-}
-
 StatusOr<std::unique_ptr<Store>> MakeArchiveBackend(StoreOptions options,
                                                     const char* name,
                                                     core::FrontierStrategy
                                                         frontier) {
   XARCH_RETURN_NOT_OK(RequireSpec(options, name));
-  XARCH_RETURN_NOT_OK(RequireSnapshotFormat(options));
   core::ArchiveOptions archive_options = options.archive;
   archive_options.frontier = frontier;
   return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
-      name, std::move(options.spec), archive_options, options.use_index,
-      options.snapshot_format));
+      name, core::Archive(std::move(options.spec), archive_options),
+      options.use_index));
 }
 
 /// Fills in a fresh private working directory when the caller left the
@@ -1511,19 +1353,13 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return MakeArchiveBackend(std::move(options), "archive",
                                   core::FrontierStrategy::kBuckets);
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
+      [](const persist::SnapshotReader& snapshot, StoreOptions) {
         return ArchiveStore::Restore(snapshot, "archive",
-                                     core::FrontierStrategy::kBuckets,
-                                     tuning.snapshot_format);
+                                     core::FrontierStrategy::kBuckets);
       },
-      [](const persist::SnapshotView& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
-        return MappedArchiveStore::Restore(snapshot, "archive",
-                                           core::FrontierStrategy::kBuckets,
-                                           tuning.snapshot_format);
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
+        return ArchiveStore::Restore(snapshot, "archive",
+                                     core::FrontierStrategy::kBuckets);
       },
   }));
   must(registry.Register({
@@ -1535,19 +1371,13 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return MakeArchiveBackend(std::move(options), "archive-weave",
                                   core::FrontierStrategy::kWeave);
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
+      [](const persist::SnapshotReader& snapshot, StoreOptions) {
         return ArchiveStore::Restore(snapshot, "archive-weave",
-                                     core::FrontierStrategy::kWeave,
-                                     tuning.snapshot_format);
+                                     core::FrontierStrategy::kWeave);
       },
-      [](const persist::SnapshotView& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
-        return MappedArchiveStore::Restore(snapshot, "archive-weave",
-                                           core::FrontierStrategy::kWeave,
-                                           tuning.snapshot_format);
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
+        return ArchiveStore::Restore(snapshot, "archive-weave",
+                                     core::FrontierStrategy::kWeave);
       },
   }));
   must(registry.Register({

@@ -134,12 +134,6 @@ struct StoreOptions {
   /// backend): the key space is range-partitioned into this many
   /// independent inner stores (xarch/shard.h).
   size_t shards = 4;
-  /// Snapshot container format the archive backends emit from
-  /// SaveToFile/SaveToBytes: 2 (XAR2 — flat mmap-navigable sections, the
-  /// default) or 1 (legacy XAR1). Both formats reopen through the
-  /// registry; saving a store opened from an XAR1 snapshot migrates it to
-  /// XAR2 unless this is set back to 1. Non-archive backends ignore it.
-  int snapshot_format = 2;
 };
 
 class Store;

@@ -59,7 +59,6 @@
 #include "xarch/sink.h"
 #include "xarch/store.h"
 #include "xarch/store_registry.h"
-#include "xarch/version_store.h"
 #include "xml/canonical.h"
 #include "xml/node.h"
 #include "xml/parser.h"

@@ -1,7 +1,8 @@
 // Concurrency: util::ThreadPool semantics, snapshot-isolated readers under
 // interleaved ingest (byte-identical to a serial run, across backends), the
-// ingest-time index publish (the PR's lazy-rebuild race regression), atomic
-// query counters, and the parallel range executor's deterministic merge.
+// ingest-time index publish (the PR's lazy-rebuild race regression), a
+// mapped XAR2 store promoted to the heap while readers run, atomic query
+// counters, and the parallel range executor's deterministic merge.
 //
 // These tests are the ThreadSanitizer workload of the CI tsan job: every
 // assertion here is also a data-race probe when built with
@@ -307,6 +308,109 @@ INSTANTIATE_TEST_SUITE_P(
                       BackendParam{"incr_diff", "incr-diff", false},
                       BackendParam{"extmem", "extmem", false}),
     [](const auto& info) { return std::string(info.param.label); });
+
+// ------------------------- mapped store promoted under readers
+
+class MappedPromotionRaceTest : public ::testing::TestWithParam<bool> {};
+
+/// A store opened from an XAR2 snapshot reads through the mapping until
+/// its first ingest, which materializes the heap archive in place. Readers
+/// drive Retrieve, range and diff queries (diff materializes the heap
+/// archive lazily, under the shared lock) and Stats while a writer
+/// appends, so the switch from mapped to heap happens mid-flight. Every
+/// answer about the snapshot's versions must byte-match a heap store that
+/// ingested the same texts serially.
+TEST_P(MappedPromotionRaceTest, ReadersMatchSerialAcrossPromotion) {
+  const bool use_index = GetParam();
+  const int kBase = 6;
+  const int kVersions = 12;
+  const std::vector<std::string> versions = ChurningVersions(kVersions);
+  const BackendParam param{"archive", "archive", use_index};
+
+  auto reference = MakeEmptyStore(param);
+  for (int v = 0; v < kBase; ++v) {
+    ASSERT_TRUE(reference->Append(versions[v]).ok());
+  }
+  auto bytes = reference->SaveToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_EQ(bytes->substr(0, 4), "XAR2");
+  auto opened = StoreRegistry::Global().OpenFromBytes(*bytes);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Store& store = **opened;
+
+  std::vector<std::string> expected_retrieve;
+  for (Version v = 1; v <= kBase; ++v) {
+    auto got = reference->Retrieve(v);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    expected_retrieve.push_back(*got);
+  }
+  const std::vector<std::string> queries = {
+      "/db/entry[id=\"1\"] @ versions 1..6",
+      "/db/entry[*] @ version 4",
+      "/db diff 2 5",
+  };
+  std::vector<std::string> expected_query;
+  for (const std::string& q : queries) {
+    StringSink sink;
+    ASSERT_TRUE(reference->Query(q, sink).ok()) << q;
+    expected_query.push_back(sink.data());
+  }
+
+  // Fixed reader rounds + yields, for the writer-starvation reason given
+  // at IngestRaceTest.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int v = kBase; v < kVersions; ++v) {
+      if (!store.Append(versions[v]).ok()) failures.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 24; ++round) {
+        const Version v = static_cast<Version>((t + round) % kBase + 1);
+        auto got = store.Retrieve(v);
+        if (!got.ok() || *got != expected_retrieve[v - 1]) {
+          failures.fetch_add(1);
+        }
+        const size_t q = static_cast<size_t>(t + round) % queries.size();
+        StringSink sink;
+        if (!store.Query(queries[q], sink).ok() ||
+            sink.data() != expected_query[q]) {
+          failures.fetch_add(1);
+        }
+        const StoreStats stats = store.Stats();
+        if (stats.versions < static_cast<Version>(kBase) ||
+            stats.versions > static_cast<Version>(kVersions)) {
+          failures.fetch_add(1);
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Promoted, the store converges to the serial bytes for every version.
+  for (int v = kBase; v < kVersions; ++v) {
+    ASSERT_TRUE(reference->Append(versions[v]).ok());
+  }
+  ASSERT_EQ(store.version_count(), static_cast<Version>(kVersions));
+  for (Version v = 1; v <= kVersions; ++v) {
+    EXPECT_EQ(*store.Retrieve(v), *reference->Retrieve(v)) << "v" << v;
+  }
+  StringSink a, b;
+  ASSERT_TRUE(store.Query("/db/entry[id=\"2\"] history", a).ok());
+  ASSERT_TRUE(reference->Query("/db/entry[id=\"2\"] history", b).ok());
+  EXPECT_EQ(a.data(), b.data());
+}
+
+INSTANTIATE_TEST_SUITE_P(Index, MappedPromotionRaceTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "indexed"
+                                                         : "noindex");
+                         });
 
 // -------------------------------- index publish (regression)
 

@@ -38,9 +38,9 @@ std::unique_ptr<Store> MustStore(const char* backend, const char* spec_text) {
 
 // Every Store backend must reproduce every version byte-for-byte after a
 // normalizing re-parse (keyed-sibling order is free for the archive).
-class VersionStoreTest : public ::testing::TestWithParam<const char*> {};
+class AllBackendsTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(VersionStoreTest, AllStoresReproduceAllVersions) {
+TEST_P(AllBackendsTest, AllStoresReproduceAllVersions) {
   synth::OmimGenerator::Options gen_options;
   gen_options.initial_records = 25;
   gen_options.insert_ratio = 0.05;
@@ -73,7 +73,7 @@ TEST_P(VersionStoreTest, AllStoresReproduceAllVersions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStores, VersionStoreTest,
+INSTANTIATE_TEST_SUITE_P(AllStores, AllBackendsTest,
                          ::testing::Values("archive", "archive-weave",
                                            "incr-diff", "cum-diff",
                                            "full-copy"),

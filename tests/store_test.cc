@@ -12,7 +12,6 @@
 #include "util/random.h"
 #include "xarch/store.h"
 #include "xarch/store_registry.h"
-#include "xarch/version_store.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -538,28 +537,6 @@ TEST(StoreStatsTest, ExtmemStoreFoldsInIoCounters) {
   EXPECT_EQ(stats.versions, 3u);
   EXPECT_GT(stats.io.bytes_written, 0u);
   EXPECT_GT(stats.io.run_count, 0u);
-}
-
-// -------------------------------------------------------- v1 shims
-
-TEST(VersionStoreShimTest, DeprecatedFactoriesStillWork) {
-  std::vector<std::unique_ptr<VersionStore>> stores;
-  stores.push_back(MakeArchiveStore(MustSpec()));
-  stores.push_back(MakeIncrementalDiffStore());
-  stores.push_back(MakeCumulativeDiffStore());
-  stores.push_back(MakeFullCopyStore());
-  const std::vector<std::string> texts = CanonicalVersions(/*seed=*/43, 4);
-  for (auto& store : stores) {
-    for (const std::string& text : texts) {
-      ASSERT_TRUE(store->AddVersion(text).ok()) << store->name();
-    }
-    EXPECT_GT(store->ByteSize(), 0u) << store->name();
-    for (Version v = 1; v <= texts.size(); ++v) {
-      auto got = store->Retrieve(v);
-      ASSERT_TRUE(got.ok()) << store->name();
-      EXPECT_EQ(*got, texts[v - 1]) << store->name() << " v" << v;
-    }
-  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ TEST(UmbrellaTest, ExposesTheFullPublicApi) {
   (void)sizeof(xarch::StringSink);
   (void)sizeof(xarch::Store*);
   (void)sizeof(xarch::StoreRegistry);
-  (void)sizeof(xarch::VersionStore*);
   (void)sizeof(xarch::xml::Node);
   EXPECT_NE(xarch::CapabilitiesToString(xarch::kTemporalQueries), "");
 }

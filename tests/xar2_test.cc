@@ -1,10 +1,10 @@
 // XAR2, the mmap-navigable snapshot container (format 2): heap-vs-mapped
 // answer parity across the archive-family backends (Retrieve, Query,
 // History, Diff, EXPLAIN probe counts), ingest promotion of a mapped
-// store, format selection through StoreOptions::snapshot_format, the
-// committed XAR1 compatibility fixtures under tests/data/, and the
-// flip-every-byte / truncate-everywhere corruption sweeps over an XAR2
-// file (kDataLoss, never an out-of-bounds read).
+// store, the committed XAR1 compatibility fixtures under tests/data/ and
+// their migration to XAR2 on save, and the flip-every-byte /
+// truncate-everywhere corruption sweeps over an XAR2 file (kDataLoss,
+// never an out-of-bounds read).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -39,11 +39,10 @@ keys::KeySpecSet MustSpec() {
   return std::move(spec).value();
 }
 
-StoreOptions OptionsWithSpec(bool use_index = false, int snapshot_format = 2) {
+StoreOptions OptionsWithSpec(bool use_index = false) {
   StoreOptions options;
   options.spec = MustSpec();
   options.use_index = use_index;
-  options.snapshot_format = snapshot_format;
   return options;
 }
 
@@ -80,11 +79,8 @@ std::vector<std::string> FixtureVersions() {
 }
 
 std::unique_ptr<Store> MakeLiveStore(const std::string& backend,
-                                     bool use_index = false,
-                                     int snapshot_format = 2) {
-  auto store =
-      StoreRegistry::Create(backend, OptionsWithSpec(use_index,
-                                                     snapshot_format));
+                                     bool use_index = false) {
+  auto store = StoreRegistry::Create(backend, OptionsWithSpec(use_index));
   EXPECT_TRUE(store.ok()) << backend << ": " << store.status().ToString();
   std::unique_ptr<Store> out = std::move(store).value();
   for (const std::string& text : FixtureVersions()) {
@@ -206,6 +202,18 @@ TEST_P(Xar2ParityTest, MappedAnswersMatchHeapByteForByte) {
     ASSERT_FALSE(a.ok() || b.ok());
     EXPECT_EQ(a.status().ToString(), b.status().ToString());
   }
+  {
+    // A Store::History path that descends below the frontier (note holds
+    // text, not keyed elements) fails with the same status text whether
+    // answered by the heap or the mapped view, indexed or not.
+    const std::vector<core::KeyStep> below = {
+        {"db", {}}, {"entry", {{"id", "1"}}}, {"note", {}}, {"x", {}}};
+    auto a = live->History(below);
+    auto b = reopened.History(below);
+    ASSERT_FALSE(a.ok() || b.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(a.status().ToString(), b.status().ToString());
+  }
 
   {
     auto a = live->History({{"db", {}}, {"entry", {{"id", "3"}}}});
@@ -290,65 +298,12 @@ TEST(Xar2PromotionTest, IngestIntoMappedStoreMaterializesOnce) {
   EXPECT_EQ(*(*again)->Retrieve(5), v5);
 }
 
-// ---------------------------------------------------- format selection
-
-TEST(Xar2FormatTest, SnapshotFormatSelectsContainerMagicAndMigrates) {
-  // snapshot_format=1 keeps emitting the legacy XAR1 container.
-  std::unique_ptr<Store> v1_store =
-      MakeLiveStore("archive", /*use_index=*/false, /*snapshot_format=*/1);
-  auto v1_bytes = v1_store->SaveToBytes();
-  ASSERT_TRUE(v1_bytes.ok());
-  EXPECT_EQ(v1_bytes->substr(0, 4), "XAR1");
-
-  // An XAR1 snapshot reopens (heap restorer) and, saved with the default
-  // options, migrates to XAR2 — the v1 -> v2 upgrade is one save away.
-  auto reopened = StoreRegistry::Global().OpenFromBytes(*v1_bytes);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto migrated = (*reopened)->SaveToBytes();
-  ASSERT_TRUE(migrated.ok());
-  EXPECT_EQ(migrated->substr(0, 4), "XAR2");
-  auto mapped = StoreRegistry::Global().OpenFromBytes(*migrated);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  for (Version v = 1; v <= v1_store->version_count(); ++v) {
-    EXPECT_EQ(*(*mapped)->Retrieve(v), *v1_store->Retrieve(v)) << "v" << v;
-  }
-
-  // And a mapped store asked to save as format 1 emits XAR1 again.
-  StoreOptions tuning;
-  tuning.snapshot_format = 1;
-  auto mapped_v1 =
-      StoreRegistry::Global().OpenFromBytes(*migrated, std::move(tuning));
-  ASSERT_TRUE(mapped_v1.ok()) << mapped_v1.status().ToString();
-  auto downgraded = (*mapped_v1)->SaveToBytes();
-  ASSERT_TRUE(downgraded.ok());
-  EXPECT_EQ(downgraded->substr(0, 4), "XAR1");
-}
-
-TEST(Xar2FormatTest, InvalidSnapshotFormatIsRejected) {
-  auto bad = StoreRegistry::Create(
-      "archive", OptionsWithSpec(/*use_index=*/false, /*snapshot_format=*/3));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  std::unique_ptr<Store> live = MakeLiveStore("archive");
-  auto bytes = live->SaveToBytes();
-  ASSERT_TRUE(bytes.ok());
-  StoreOptions tuning;
-  tuning.snapshot_format = 0;
-  auto opened =
-      StoreRegistry::Global().OpenFromBytes(*bytes, std::move(tuning));
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-}
-
 // --------------------------------------------- XAR1 fixtures (tests/data)
 
 // Committed XAR1 snapshot files, written by an earlier build whose
-// archive backends still defaulted to format 1. The registry must keep
-// opening them, and every read must match a live heap store built from
-// the same version texts — byte for byte. Regenerate (only if the wire
-// texts in FixtureVersions() ever have to change) with
-// tests/data/make_xar1_fixtures.cc.
+// archive backends still wrote format 1. The registry must keep opening
+// them, and every read must match a live heap store built from the same
+// version texts — byte for byte. They are frozen (tests/data/README.md).
 class Xar1FixtureTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(Xar1FixtureTest, CommittedSnapshotStillOpensByteIdentically) {
@@ -382,6 +337,68 @@ TEST_P(Xar1FixtureTest, CommittedSnapshotStillOpensByteIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     CommittedFixtures, Xar1FixtureTest,
     ::testing::Values("archive", "archive-weave", "incr-diff", "full-copy"),
+    [](const auto& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// ----------------------------------------------- XAR1 -> XAR2 migration
+
+// Archive backends read XAR1 but write only XAR2: a store opened from a
+// committed XAR1 fixture, appended to and saved, comes back as XAR2 and,
+// reopened through mmap, answers every read like a live heap store that
+// ingested the same five versions.
+class Xar2FormatTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Xar2FormatTest, Xar1FixtureSavesAsXar2AfterAppend) {
+  const std::string& backend = GetParam();
+  const std::string fixture =
+      std::string(XARCH_TEST_DATA_DIR) + "/xar1_" + backend + ".xar";
+  ASSERT_EQ(ReadAll(fixture).substr(0, 4), "XAR1") << fixture;
+  auto opened = StoreRegistry::Open(fixture);
+  ASSERT_TRUE(opened.ok()) << fixture << ": " << opened.status().ToString();
+
+  const std::string v5 =
+      Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
+  ASSERT_TRUE((*opened)->Append(v5).ok());
+  ScratchDir dir("migrate");
+  const std::string path = dir.File("store.xar");
+  ASSERT_TRUE((*opened)->SaveToFile(path).ok());
+  EXPECT_EQ(ReadAll(path).substr(0, 4), "XAR2");
+
+  auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
+  Store& mapped = **mapped_or;
+  std::unique_ptr<Store> live = MakeLiveStore(backend);
+  ASSERT_TRUE(live->Append(v5).ok());
+
+  // The migrated snapshot is the one a live store writes, byte for byte.
+  EXPECT_EQ(ReadAll(path), *live->SaveToBytes());
+  EXPECT_EQ(mapped.name(), live->name());
+  ASSERT_EQ(mapped.version_count(), 5u);
+  ASSERT_EQ(live->version_count(), 5u);
+  for (Version v = 1; v <= live->version_count(); ++v) {
+    auto a = live->Retrieve(v);
+    auto b = mapped.Retrieve(v);
+    ASSERT_TRUE(a.ok() && b.ok()) << "v" << v << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << backend << " v" << v;
+  }
+  for (const char* q : {
+           "/db/entry[*] @ versions 1..5",
+           "/db/entry[id=\"4\"] history",
+           "/db diff 4 5",
+       }) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(mapped, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArchiveFixtures, Xar2FormatTest,
+    ::testing::Values("archive", "archive-weave"),
     [](const auto& info) {
       std::string name = info.param;
       std::replace(name.begin(), name.end(), '-', '_');
