@@ -336,7 +336,9 @@ TEST_P(Xar1FixtureTest, CommittedSnapshotStillOpensByteIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     CommittedFixtures, Xar1FixtureTest,
-    ::testing::Values("archive", "archive-weave", "incr-diff", "full-copy"),
+    ::testing::Values("archive", "archive-weave", "incr-diff", "full-copy",
+                      "cum-diff", "extmem", "compressed",
+                      "checkpoint-archive", "checkpoint-diff", "sharded"),
     [](const auto& info) {
       std::string name = info.param;
       std::replace(name.begin(), name.end(), '-', '_');
