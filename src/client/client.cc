@@ -103,24 +103,14 @@ StatusOr<net::Frame> Client::RoundTrip(net::MessageType type,
 Status Client::Query(std::string_view query_text, Sink& sink,
                      std::string* trace_out) {
   if (!socket_.valid()) return Status::IoError("connection is closed");
-  if (trace_out != nullptr && hello_.version < 2) {
-    return Status::Unimplemented(
-        "server only speaks protocol v" + std::to_string(hello_.version) +
-        "; query tracing needs v2");
-  }
   last_error_code_ = net::ErrorCode::kUnknown;
-  // At protocol v2 the QUERY payload leads with a flags octet; a v1
-  // session sends raw text (old servers never see the flag byte).
+  // The QUERY payload leads with a flags octet, then the XAQL text.
   std::string payload;
-  std::string_view wire = query_text;
-  if (hello_.version >= 2) {
-    payload.reserve(query_text.size() + 1);
-    payload += static_cast<char>(trace_out != nullptr ? net::kQueryFlagTrace
-                                                      : 0);
-    payload += query_text;
-    wire = payload;
-  }
-  if (Status st = net::WriteFrame(socket_, net::MessageType::kQuery, wire);
+  payload.reserve(query_text.size() + 1);
+  payload +=
+      static_cast<char>(trace_out != nullptr ? net::kQueryFlagTrace : 0);
+  payload += query_text;
+  if (Status st = net::WriteFrame(socket_, net::MessageType::kQuery, payload);
       !st.ok()) {
     socket_.Close();
     return st;
@@ -159,11 +149,6 @@ StatusOr<std::string> Client::QueryToString(std::string_view query_text,
 }
 
 StatusOr<std::string> Client::Metrics() {
-  if (hello_.version < 2) {
-    return Status::Unimplemented(
-        "server only speaks protocol v" + std::to_string(hello_.version) +
-        "; METRICS needs v2");
-  }
   XARCH_ASSIGN_OR_RETURN(net::Frame frame,
                          RoundTrip(net::MessageType::kMetrics, "",
                                    net::MessageType::kMetricsOk));

@@ -69,8 +69,7 @@ class Client {
   /// stream was not closed by DONE and is not a result).
   ///
   /// When `trace_out` is non-null the query is sent with the trace flag
-  /// and the server's rendered span tree lands in *trace_out (needs
-  /// negotiated protocol >= 2; kUnimplemented otherwise).
+  /// and the server's rendered span tree lands in *trace_out.
   Status Query(std::string_view query_text, Sink& sink,
                std::string* trace_out = nullptr);
 
@@ -78,8 +77,7 @@ class Client {
   StatusOr<std::string> QueryToString(std::string_view query_text,
                                       std::string* trace_out = nullptr);
 
-  /// Scrapes the server's telemetry registry: Prometheus text exposition
-  /// (needs negotiated protocol >= 2; kUnimplemented otherwise).
+  /// Scrapes the server's telemetry registry: Prometheus text exposition.
   StatusOr<std::string> Metrics();
 
   /// Appends a batch of XML documents; returns the server's version count

@@ -181,6 +181,15 @@ void KeySpecSet::WalkAll(const std::vector<std::string>& steps,
   Walker::Go(root_.get(), steps, 0, out);
 }
 
+std::string KeySpecSet::ToText() const {
+  std::string out;
+  for (const Key& key : keys_) {
+    out += key.ToString();
+    out += '\n';
+  }
+  return out;
+}
+
 const Key* KeySpecSet::Lookup(const std::vector<std::string>& steps) const {
   std::vector<const TrieNode*> hits;
   WalkAll(steps, &hits);

@@ -50,6 +50,11 @@ class KeySpecSet {
   /// The explicit keys this set was built from.
   const std::vector<Key>& keys() const { return keys_; }
 
+  /// The explicit keys in the Appendix B text format, one per line;
+  /// ParseKeySpecSet(ToText()) rebuilds an equal set. Snapshots and shard
+  /// manifests embed this text.
+  std::string ToText() const;
+
   /// Deep copy (KeySpecSet is move-only because the trie points into
   /// all_keys_; Clone rebuilds from the explicit keys).
   StatusOr<KeySpecSet> Clone() const { return Build(keys_); }

@@ -12,14 +12,21 @@ namespace xarch::persist {
 
 namespace {
 
-constexpr char kMagic[4] = {'X', 'A', 'R', '1'};
-constexpr char kMagicV2[4] = {'X', 'A', 'R', '2'};
+constexpr char kMagicXar1[4] = {'X', 'A', 'R', '1'};
+constexpr char kMagicXar2[4] = {'X', 'A', 'R', '2'};
+constexpr uint32_t kXar1FormatVersion = 1;  // read-only legacy
+constexpr uint32_t kXar2FormatVersion = 2;
 constexpr uint8_t kFlagLzss = 1u << 0;
+// Sections shorter than this are never worth an LZSS attempt.
+constexpr size_t kCompressMinBytes = 128;
 
+// "XAR1" header: magic | u32 format | u32 count | u32 header CRC.
+constexpr size_t kXar1HeaderSize = 16;
+constexpr size_t kXar1HeaderCrcOffset = 12;
 // "XAR2" header: magic | u32 format | u32 count | u32 reserved |
 // u64 table offset | u64 table length | u32 table CRC | u32 header CRC.
-constexpr size_t kV2HeaderSize = 40;
-constexpr size_t kV2HeaderCrcOffset = 36;
+constexpr size_t kXar2HeaderSize = 40;
+constexpr size_t kXar2HeaderCrcOffset = 36;
 
 uint32_t ReadU32At(std::string_view bytes, size_t offset) {
   uint32_t v = 0;
@@ -39,11 +46,29 @@ uint64_t ReadU64At(std::string_view bytes, size_t offset) {
   return v;
 }
 
-}  // namespace
-
-bool IsXar2Snapshot(std::string_view bytes) {
-  return bytes.size() >= 4 && std::memcmp(bytes.data(), kMagicV2, 4) == 0;
+bool HasMagic(std::string_view bytes, const char (&magic)[4]) {
+  return bytes.size() >= 4 && std::memcmp(bytes.data(), magic, 4) == 0;
 }
+
+/// Verifies the masked header CRC stored at `crc_offset` over the bytes
+/// before it, then the format version field.
+Status CheckHeader(std::string_view bytes, size_t crc_offset,
+                   uint32_t expected_version) {
+  if (Crc32c(bytes.substr(0, crc_offset)) !=
+      UnmaskCrc(ReadU32At(bytes, crc_offset))) {
+    return Status::DataLoss("snapshot header checksum mismatch");
+  }
+  uint32_t version = ReadU32At(bytes, 4);
+  if (version != expected_version) {
+    return Status::DataLoss("unsupported snapshot format version " +
+                            std::to_string(version) + " (this build reads " +
+                            std::to_string(kXar1FormatVersion) + " and " +
+                            std::to_string(kXar2FormatVersion) + ")");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 void SnapshotWriter::Add(std::string name, std::string payload) {
   sections_.push_back({std::move(name), std::move(payload), true});
@@ -53,54 +78,22 @@ void SnapshotWriter::AddRaw(std::string name, std::string payload) {
   sections_.push_back({std::move(name), std::move(payload), false});
 }
 
-std::string SnapshotWriter::StoredPayload(const Section& section,
-                                          bool* compressed) const {
-  *compressed = false;
-  if (section.allow_compress && options_.compress &&
-      section.payload.size() >= options_.compress_min_bytes) {
-    auto lzss = compress::LzssTryCompress(section.payload);
-    if (lzss.ok() && lzss->size() < section.payload.size()) {
-      *compressed = true;
-      return std::move(lzss).value();
-    }
-  }
-  return section.payload;
-}
-
 std::string SnapshotWriter::Serialize() const {
-  return options_.format == kContainerFormatVersion2 ? SerializeV2()
-                                                     : SerializeV1();
-}
-
-std::string SnapshotWriter::SerializeV1() const {
-  std::string out;
-  out.append(kMagic, 4);
-  PutU32(kContainerFormatVersion, &out);
-  PutU32(static_cast<uint32_t>(sections_.size()), &out);
-  PutU32(MaskCrc(Crc32c(std::string_view(out.data(), out.size()))), &out);
-  for (const Section& section : sections_) {
-    std::string body;
-    PutU32(static_cast<uint32_t>(section.name.size()), &body);
-    body += section.name;
-    bool compressed = false;
-    std::string stored = StoredPayload(section, &compressed);
-    PutU8(compressed ? kFlagLzss : 0, &body);
-    PutU64(section.payload.size(), &body);
-    PutU64(stored.size(), &body);
-    body.append(stored.data(), stored.size());
-    PutU32(MaskCrc(Crc32c(body)), &body);
-    out += body;
-  }
-  return out;
-}
-
-std::string SnapshotWriter::SerializeV2() const {
   std::string payloads;
   std::string table;
-  uint64_t offset = kV2HeaderSize;
+  uint64_t offset = kXar2HeaderSize;
   for (const Section& section : sections_) {
+    // LZSS only when allowed and it actually shrinks the payload.
+    std::string lzss;
     bool compressed = false;
-    std::string stored = StoredPayload(section, &compressed);
+    if (section.allow_compress &&
+        section.payload.size() >= kCompressMinBytes) {
+      auto attempt = compress::LzssTryCompress(section.payload);
+      compressed = attempt.ok() && attempt->size() < section.payload.size();
+      if (compressed) lzss = std::move(attempt).value();
+    }
+    const std::string_view stored =
+        compressed ? std::string_view(lzss) : std::string_view(section.payload);
     PutU32(static_cast<uint32_t>(section.name.size()), &table);
     table += section.name;
     PutU8(compressed ? kFlagLzss : 0, &table);
@@ -112,9 +105,9 @@ std::string SnapshotWriter::SerializeV2() const {
     payloads += stored;
   }
   std::string out;
-  out.reserve(kV2HeaderSize + payloads.size() + table.size());
-  out.append(kMagicV2, 4);
-  PutU32(kContainerFormatVersion2, &out);
+  out.reserve(kXar2HeaderSize + payloads.size() + table.size());
+  out.append(kMagicXar2, 4);
+  PutU32(kXar2FormatVersion, &out);
   PutU32(static_cast<uint32_t>(sections_.size()), &out);
   PutU32(0, &out);  // reserved
   PutU64(offset, &out);
@@ -126,31 +119,27 @@ std::string SnapshotWriter::SerializeV2() const {
   return out;
 }
 
-StatusOr<SnapshotReader> SnapshotReader::Parse(std::string_view bytes) {
-  Cursor cursor(bytes);
-  if (bytes.size() < 16 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
+Status SnapshotView::ParseInto(std::string_view bytes, SnapshotView* view) {
+  if (HasMagic(bytes, kMagicXar2)) {
+    XARCH_RETURN_NOT_OK(ParseXar2(bytes, view));
+  } else if (HasMagic(bytes, kMagicXar1)) {
+    XARCH_RETURN_NOT_OK(ParseXar1(bytes, view));
+  } else {
     return Status::DataLoss("not an xarch snapshot container (bad magic)");
   }
-  uint32_t header_crc = UnmaskCrc(
-      static_cast<uint8_t>(bytes[12]) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(bytes[13])) << 8) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(bytes[14])) << 16) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(bytes[15])) << 24));
-  if (Crc32c(bytes.substr(0, 12)) != header_crc) {
-    return Status::DataLoss("snapshot header checksum mismatch");
-  }
-  uint32_t magic_skip, version = 0, count = 0, crc_skip;
-  (void)cursor.ReadU32(&magic_skip);
-  (void)cursor.ReadU32(&version);
-  (void)cursor.ReadU32(&count);
-  (void)cursor.ReadU32(&crc_skip);
-  if (version != kContainerFormatVersion) {
-    return Status::DataLoss("unsupported snapshot format version " +
-                            std::to_string(version) + " (this build reads " +
-                            std::to_string(kContainerFormatVersion) + ")");
-  }
+  view->bytes_ = bytes;
+  return Status::OK();
+}
 
-  SnapshotReader reader;
+Status SnapshotView::ParseXar1(std::string_view bytes, SnapshotView* view) {
+  if (bytes.size() < kXar1HeaderSize) {
+    return Status::DataLoss("snapshot header is truncated");
+  }
+  XARCH_RETURN_NOT_OK(
+      CheckHeader(bytes, kXar1HeaderCrcOffset, kXar1FormatVersion));
+  const uint32_t count = ReadU32At(bytes, 8);
+  Cursor cursor(bytes);
+  XARCH_RETURN_NOT_OK(cursor.Skip(kXar1HeaderSize));
   for (uint32_t i = 0; i < count; ++i) {
     const size_t section_start = cursor.position();
     uint32_t name_len = 0;
@@ -159,93 +148,44 @@ StatusOr<SnapshotReader> SnapshotReader::Parse(std::string_view bytes) {
       return Status::DataLoss("snapshot section name length " +
                               std::to_string(name_len) + " exceeds file");
     }
-    std::string name(bytes.substr(cursor.position(), name_len));
+    Entry entry;
+    entry.name.assign(bytes.substr(cursor.position(), name_len));
     XARCH_RETURN_NOT_OK(cursor.Skip(name_len));
-    uint8_t flags = 0;
-    uint64_t raw_len = 0, stored_len = 0;
-    XARCH_RETURN_NOT_OK(cursor.ReadU8(&flags));
-    XARCH_RETURN_NOT_OK(cursor.ReadU64(&raw_len));
-    XARCH_RETURN_NOT_OK(cursor.ReadU64(&stored_len));
-    if (stored_len > cursor.remaining()) {
-      return Status::DataLoss("snapshot section \"" + name +
+    XARCH_RETURN_NOT_OK(cursor.ReadU8(&entry.flags));
+    XARCH_RETURN_NOT_OK(cursor.ReadU64(&entry.raw_len));
+    XARCH_RETURN_NOT_OK(cursor.ReadU64(&entry.stored_len));
+    if (entry.stored_len > cursor.remaining()) {
+      return Status::DataLoss("snapshot section \"" + entry.name +
                               "\" payload length " +
-                              std::to_string(stored_len) + " exceeds file");
+                              std::to_string(entry.stored_len) +
+                              " exceeds file");
     }
-    std::string_view stored = bytes.substr(cursor.position(),
-                                           static_cast<size_t>(stored_len));
-    XARCH_RETURN_NOT_OK(cursor.Skip(stored_len));
+    entry.payload_offset = cursor.position();
+    XARCH_RETURN_NOT_OK(cursor.Skip(entry.stored_len));
     const size_t section_end = cursor.position();
     uint32_t masked = 0;
     XARCH_RETURN_NOT_OK(cursor.ReadU32(&masked));
-    uint32_t actual = Crc32c(
-        bytes.substr(section_start, section_end - section_start));
-    if (UnmaskCrc(masked) != actual) {
-      return Status::DataLoss("snapshot section \"" + name +
+    if (Crc32c(bytes.substr(section_start, section_end - section_start)) !=
+        UnmaskCrc(masked)) {
+      return Status::DataLoss("snapshot section \"" + entry.name +
                               "\" checksum mismatch");
     }
-    std::string payload;
-    if (flags & kFlagLzss) {
-      XARCH_ASSIGN_OR_RETURN(payload, compress::LzssDecompress(stored));
-    } else {
-      payload.assign(stored.data(), stored.size());
-    }
-    if (payload.size() != raw_len) {
-      return Status::DataLoss("snapshot section \"" + name +
-                              "\" decoded to " +
-                              std::to_string(payload.size()) +
-                              " bytes, expected " + std::to_string(raw_len));
-    }
-    if (flags & ~kFlagLzss) {
-      return Status::DataLoss("snapshot section \"" + name +
-                              "\" has unknown flags");
-    }
-    auto [it, inserted] =
-        reader.sections_.emplace(std::move(name), std::move(payload));
-    if (!inserted) {
-      return Status::DataLoss("duplicate snapshot section \"" + it->first +
-                              "\"");
-    }
-    reader.names_.push_back(it->first);
+    XARCH_RETURN_NOT_OK(view->AddEntry(std::move(entry)));
   }
-  XARCH_RETURN_NOT_OK(cursor.ExpectDone());
-  return reader;
+  return cursor.ExpectDone();
 }
 
-StatusOr<std::string_view> SnapshotReader::Section(
-    const std::string& name) const {
-  const std::string* payload = FindSection(name);
-  if (payload == nullptr) {
-    return Status::DataLoss("snapshot is missing required section \"" + name +
-                            "\"");
+Status SnapshotView::ParseXar2(std::string_view bytes, SnapshotView* view) {
+  if (bytes.size() < kXar2HeaderSize) {
+    return Status::DataLoss("snapshot header is truncated");
   }
-  return std::string_view(*payload);
-}
-
-const std::string* SnapshotReader::FindSection(const std::string& name) const {
-  auto it = sections_.find(name);
-  return it == sections_.end() ? nullptr : &it->second;
-}
-
-Status SnapshotView::ParseInto(std::string_view bytes, SnapshotView* view) {
-  if (bytes.size() < kV2HeaderSize ||
-      std::memcmp(bytes.data(), kMagicV2, 4) != 0) {
-    return Status::DataLoss("not an xarch snapshot container (bad magic)");
-  }
-  uint32_t header_crc = UnmaskCrc(ReadU32At(bytes, kV2HeaderCrcOffset));
-  if (Crc32c(bytes.substr(0, kV2HeaderCrcOffset)) != header_crc) {
-    return Status::DataLoss("snapshot header checksum mismatch");
-  }
-  uint32_t version = ReadU32At(bytes, 4);
-  if (version != kContainerFormatVersion2) {
-    return Status::DataLoss("unsupported snapshot format version " +
-                            std::to_string(version) + " (this build reads " +
-                            std::to_string(kContainerFormatVersion2) + ")");
-  }
+  XARCH_RETURN_NOT_OK(
+      CheckHeader(bytes, kXar2HeaderCrcOffset, kXar2FormatVersion));
   uint32_t count = ReadU32At(bytes, 8);
   uint64_t table_offset = ReadU64At(bytes, 16);
   uint64_t table_len = ReadU64At(bytes, 24);
   uint32_t table_crc = UnmaskCrc(ReadU32At(bytes, 32));
-  if (table_offset < kV2HeaderSize || table_offset > bytes.size() ||
+  if (table_offset < kXar2HeaderSize || table_offset > bytes.size() ||
       table_len != bytes.size() - table_offset) {
     return Status::DataLoss("snapshot section table is out of bounds");
   }
@@ -259,7 +199,7 @@ Status SnapshotView::ParseInto(std::string_view bytes, SnapshotView* view) {
   // the file is covered by exactly one checksum (header, a payload, or the
   // table) and any truncation or splice is caught structurally.
   Cursor cursor(table);
-  uint64_t expected_offset = kV2HeaderSize;
+  uint64_t expected_offset = kXar2HeaderSize;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t name_len = 0;
     XARCH_RETURN_NOT_OK(cursor.ReadU32(&name_len));
@@ -276,16 +216,6 @@ Status SnapshotView::ParseInto(std::string_view bytes, SnapshotView* view) {
     XARCH_RETURN_NOT_OK(cursor.ReadU64(&entry.stored_len));
     XARCH_RETURN_NOT_OK(cursor.ReadU64(&entry.raw_len));
     XARCH_RETURN_NOT_OK(cursor.ReadU32(&masked));
-    if (entry.flags & ~kFlagLzss) {
-      return Status::DataLoss("snapshot section \"" + entry.name +
-                              "\" has unknown flags");
-    }
-    if (!(entry.flags & kFlagLzss) && entry.raw_len != entry.stored_len) {
-      return Status::DataLoss("snapshot section \"" + entry.name +
-                              "\" stored " + std::to_string(entry.stored_len) +
-                              " bytes but declares " +
-                              std::to_string(entry.raw_len) + " raw bytes");
-    }
     if (entry.payload_offset != expected_offset ||
         entry.stored_len > table_offset - expected_offset) {
       return Status::DataLoss("snapshot payload layout is corrupt");
@@ -298,25 +228,37 @@ Status SnapshotView::ParseInto(std::string_view bytes, SnapshotView* view) {
       return Status::DataLoss("snapshot section \"" + entry.name +
                               "\" checksum mismatch");
     }
-    size_t slot = view->entries_.size();
-    auto [it, inserted] = view->index_.emplace(entry.name, slot);
-    if (!inserted) {
-      return Status::DataLoss("duplicate snapshot section \"" + it->first +
-                              "\"");
-    }
-    view->names_.push_back(entry.name);
-    view->entries_.push_back(std::move(entry));
+    XARCH_RETURN_NOT_OK(view->AddEntry(std::move(entry)));
   }
   if (expected_offset != table_offset) {
     return Status::DataLoss("snapshot payload layout is corrupt");
   }
-  XARCH_RETURN_NOT_OK(cursor.ExpectDone());
-  view->bytes_ = bytes;
+  return cursor.ExpectDone();
+}
+
+Status SnapshotView::AddEntry(Entry entry) {
+  if (entry.flags & ~kFlagLzss) {
+    return Status::DataLoss("snapshot section \"" + entry.name +
+                            "\" has unknown flags");
+  }
+  if (!(entry.flags & kFlagLzss) && entry.raw_len != entry.stored_len) {
+    return Status::DataLoss("snapshot section \"" + entry.name +
+                            "\" stored " + std::to_string(entry.stored_len) +
+                            " bytes but declares " +
+                            std::to_string(entry.raw_len) + " raw bytes");
+  }
+  auto [it, inserted] = index_.emplace(entry.name, entries_.size());
+  if (!inserted) {
+    return Status::DataLoss("duplicate snapshot section \"" + it->first +
+                            "\"");
+  }
+  names_.push_back(entry.name);
+  entries_.push_back(std::move(entry));
   return Status::OK();
 }
 
-StatusOr<SnapshotView> SnapshotView::OpenFromBytes(std::string_view bytes) {
-  auto owned = std::make_shared<std::string>(bytes);
+StatusOr<SnapshotView> SnapshotView::OpenFromBytes(std::string bytes) {
+  auto owned = std::make_shared<std::string>(std::move(bytes));
   SnapshotView view;
   XARCH_RETURN_NOT_OK(ParseInto(*owned, &view));
   view.owner_ = owned;
@@ -377,17 +319,6 @@ StatusOr<std::string> SnapshotView::SectionString(
                             std::to_string(entry->raw_len));
   }
   return payload;
-}
-
-StatusOr<std::string> ReadSnapshotBackend(std::string_view bytes) {
-  if (IsXar2Snapshot(bytes)) {
-    SnapshotView view;
-    XARCH_RETURN_NOT_OK(SnapshotView::ParseInto(bytes, &view));
-    return view.SectionString("backend");
-  }
-  XARCH_ASSIGN_OR_RETURN(SnapshotReader reader, SnapshotReader::Parse(bytes));
-  XARCH_ASSIGN_OR_RETURN(std::string_view backend, reader.Section("backend"));
-  return std::string(backend);
 }
 
 }  // namespace xarch::persist

@@ -16,32 +16,12 @@ class MappedFile;
 
 namespace xarch::persist {
 
-/// Legacy snapshot container format version (XAR1).
-inline constexpr uint32_t kContainerFormatVersion = 1;
-
-/// The mmap-navigable flat container format (XAR2); see docs/FORMAT.md.
-inline constexpr uint32_t kContainerFormatVersion2 = 2;
-
-/// True when `bytes` start with the XAR2 magic. Dispatch is by magic, never
-/// by the format field, so a damaged version field still routes to the
-/// parser that owns the matching layout (and its error message).
-bool IsXar2Snapshot(std::string_view bytes);
-
-/// \brief Writer for the versioned binary snapshot container.
+/// \brief Writer for the snapshot container (format 2, "XAR2"); every
+/// backend writes it. See docs/FORMAT.md.
 ///
-/// Format 1 layout (all integers little-endian):
-///
-///   magic "XAR1" | u32 format version | u32 section count | u32 CRC32C
-///   of the 12 header bytes (masked), then per section:
-///
-///   u32 name length | name bytes | u8 flags (bit 0 = LZSS payload) |
-///   u64 raw payload length | u64 stored payload length | stored bytes |
-///   u32 CRC32C (masked) over everything from the name length through the
-///   stored bytes
-///
-/// Format 2 ("XAR2") moves section metadata into a trailing table so a
-/// reader can locate any stored payload from the mapped file without
-/// touching payload bytes:
+/// Layout (all integers little-endian): section metadata sits in a
+/// trailing table so a reader can locate any stored payload from the
+/// mapped file without touching payload bytes:
 ///
 ///   magic "XAR2" | u32 format version | u32 section count | u32 reserved |
 ///   u64 table offset | u64 table length | u32 table CRC32C (masked) |
@@ -53,25 +33,14 @@ bool IsXar2Snapshot(std::string_view bytes);
 ///   u64 payload offset | u64 stored length | u64 raw length |
 ///   u32 CRC32C (masked) over the stored payload bytes
 ///
-/// Every stored byte of either format is covered by some checksum, so a
-/// bit flip is detected before any decompression or decoding touches the
-/// payload. Payloads at least `compress_min_bytes` long are LZSS-compressed
-/// when that actually shrinks them; incompressible sections are stored raw.
-/// Sections added with `AddRaw` are never compressed — their bytes land in
-/// the file verbatim, which is what makes XAR2 sections navigable in place.
+/// Every stored byte is covered by some checksum, so a bit flip is
+/// detected before any decompression or decoding touches the payload.
+/// Sections added with `Add` that are at least 128 bytes long are
+/// LZSS-compressed when that actually shrinks them. Sections added with
+/// `AddRaw` are never compressed — their bytes land in the file verbatim,
+/// which is what makes them navigable in place.
 class SnapshotWriter {
  public:
-  struct Options {
-    bool compress = true;
-    size_t compress_min_bytes = 128;
-    /// Container format to emit: kContainerFormatVersion (default) or
-    /// kContainerFormatVersion2.
-    uint32_t format = kContainerFormatVersion;
-  };
-
-  SnapshotWriter() = default;
-  explicit SnapshotWriter(Options options) : options_(options) {}
-
   /// Adds one named section. Names must be unique per container.
   void Add(std::string name, std::string payload);
 
@@ -89,54 +58,36 @@ class SnapshotWriter {
     bool allow_compress = true;
   };
 
-  std::string SerializeV1() const;
-  std::string SerializeV2() const;
-  /// Stored form of one section: LZSS-compressed when allowed and smaller.
-  /// Returns the stored bytes and sets `*compressed`.
-  std::string StoredPayload(const Section& section, bool* compressed) const;
-
-  Options options_;
   std::vector<Section> sections_;
 };
 
-/// \brief Reader for format-1 SnapshotWriter output. Parse() eagerly
-/// verifies the header, every section CRC, and decompresses compressed
-/// payloads, so any corruption surfaces as kDataLoss at open time — never
-/// as a crash or a half-decoded store later.
-class SnapshotReader {
- public:
-  static StatusOr<SnapshotReader> Parse(std::string_view bytes);
-
-  /// The payload of a named section; kDataLoss when absent (a snapshot
-  /// missing a section its backend requires is a damaged snapshot).
-  StatusOr<std::string_view> Section(const std::string& name) const;
-
-  /// The payload of a named section, or nullptr when absent.
-  const std::string* FindSection(const std::string& name) const;
-
-  /// Section names in file order.
-  const std::vector<std::string>& names() const { return names_; }
-
- private:
-  std::map<std::string, std::string> sections_;
-  std::vector<std::string> names_;
-};
-
-/// \brief A parsed XAR2 container over bytes it owns (a copied buffer or an
-/// adopted file mapping) — the zero-copy open path.
+/// \brief A parsed snapshot container over bytes it owns (a buffer or an
+/// adopted file mapping) — the one snapshot reader.
 ///
-/// Opening verifies the header CRC, the table CRC, and every stored
-/// payload's CRC (pure checksum passes over the mapped bytes — no parse,
-/// no decompression, no per-node allocation), so corruption anywhere in
-/// the file surfaces as kDataLoss at open time, exactly like the format-1
-/// reader. Raw sections are then served as string_views into the mapped
-/// bytes; compressed sections decompress on demand.
+/// It reads both formats, dispatching on the magic: XAR2, and the legacy
+/// format 1 ("XAR1") that older builds wrote, whose per-section header and
+/// trailing CRC precede each payload inline:
+///
+///   magic "XAR1" | u32 format version | u32 section count | u32 CRC32C
+///   of the 12 header bytes (masked), then per section:
+///
+///   u32 name length | name bytes | u8 flags (bit 0 = LZSS payload) |
+///   u64 raw payload length | u64 stored payload length | stored bytes |
+///   u32 CRC32C (masked) over everything from the name length through the
+///   stored bytes
+///
+/// Opening verifies the header and every checksum of either format (pure
+/// checksum passes over the bytes — no parse, no decompression, no
+/// per-node allocation), so corruption anywhere in the file surfaces as
+/// kDataLoss at open time. Raw sections are then served as string_views
+/// into the bytes; LZSS sections decompress on demand, and a payload that
+/// decodes to the wrong length is kDataLoss there.
 ///
 /// Copies of a SnapshotView share the underlying storage.
 class SnapshotView {
  public:
-  /// Parses a copy of `bytes` (the view owns the copy).
-  static StatusOr<SnapshotView> OpenFromBytes(std::string_view bytes);
+  /// Parses `bytes`, which the view takes over.
+  static StatusOr<SnapshotView> OpenFromBytes(std::string bytes);
 
   /// Parses and adopts a read-only file mapping: O(mmap + CRC verify),
   /// zero payload copies.
@@ -151,7 +102,7 @@ class SnapshotView {
   StatusOr<std::string_view> RawSection(const std::string& name) const;
 
   /// Payload of any section as an owned string (decompresses LZSS
-  /// sections; copies raw ones).
+  /// sections; copies raw ones). kDataLoss when the section is absent.
   StatusOr<std::string> SectionString(const std::string& name) const;
 
   /// True when the named section exists.
@@ -169,10 +120,15 @@ class SnapshotView {
     uint64_t raw_len = 0;
   };
 
-  /// Parses `bytes` (borrowed; caller keeps them alive) into `*view`.
+  /// Parses `bytes` (borrowed; caller keeps them alive) into `*view`,
+  /// choosing the format by magic — never by the version field, so a
+  /// damaged version still routes to the parser that owns the layout.
   static Status ParseInto(std::string_view bytes, SnapshotView* view);
+  static Status ParseXar1(std::string_view bytes, SnapshotView* view);
+  static Status ParseXar2(std::string_view bytes, SnapshotView* view);
 
-  friend StatusOr<std::string> ReadSnapshotBackend(std::string_view bytes);
+  /// Validates one checksummed entry's flags and lengths and appends it.
+  Status AddEntry(Entry entry);
 
   const Entry* FindEntry(const std::string& name) const;
 
@@ -182,10 +138,6 @@ class SnapshotView {
   std::map<std::string, size_t> index_;
   std::vector<std::string> names_;
 };
-
-/// Reads the "backend" section from snapshot bytes of either format — the
-/// cheap probe open paths use to decide which restorer to call.
-StatusOr<std::string> ReadSnapshotBackend(std::string_view bytes);
 
 // File I/O lives behind the pluggable backend in vfs/vfs.h now: whole-file
 // reads are Vfs::ReadFile / Vfs::Map, atomic replacement is

@@ -1,5 +1,8 @@
 #include "query/planner.h"
 
+#include "obs/metrics.h"
+#include "query/parser.h"
+
 namespace xarch::query {
 
 const char* AccessName(Access access) {
@@ -81,6 +84,28 @@ Plan MakePlan(Query ast, Access access) {
   }
   plan.exec_note = ExecNote(ast.temporal, access);
   plan.ast = std::move(ast);
+  return plan;
+}
+
+StatusOr<Plan> ParseAndPlan(
+    std::string_view query_text, obs::Trace* analyze_trace,
+    obs::Trace** trace,
+    const std::function<Access(const Query&)>& choose_access) {
+  const uint64_t parse_start = obs::MonotonicMicros();
+  XARCH_ASSIGN_OR_RETURN(Query ast, Parse(query_text));
+  const uint64_t parse_end = obs::MonotonicMicros();
+  if (ast.analyze && *trace == nullptr) *trace = analyze_trace;
+  if (*trace != nullptr) {
+    (*trace)->AddCompleted("parse", obs::Trace::kNoSpan, parse_start,
+                           parse_end);
+  }
+  const uint64_t plan_start = obs::MonotonicMicros();
+  const Access access = choose_access(ast);
+  Plan plan = MakePlan(std::move(ast), access);
+  if (*trace != nullptr) {
+    (*trace)->AddCompleted("plan", obs::Trace::kNoSpan, plan_start,
+                           obs::MonotonicMicros());
+  }
   return plan;
 }
 

@@ -1,10 +1,14 @@
 #ifndef XARCH_QUERY_PLANNER_H_
 #define XARCH_QUERY_PLANNER_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/trace.h"
 #include "query/ast.h"
+#include "util/status.h"
 
 namespace xarch::query {
 
@@ -45,6 +49,17 @@ struct Plan {
 /// (keyed steps get the sorted-key binary search under kArchiveIndexed;
 /// bare and wildcard steps always scan the children).
 Plan MakePlan(Query ast, Access access);
+
+/// Parse + plan, timed into `*trace` ("parse" and "plan" spans) when one is
+/// attached. An `explain analyze` query with no caller-supplied trace
+/// promotes `analyze_trace` to the active trace — parse ran before the
+/// flag was known, so its span is recorded from the measured interval.
+/// `choose_access` maps the parsed AST to the access strategy (and may
+/// capture side decisions, like an archive store's index selection).
+StatusOr<Plan> ParseAndPlan(
+    std::string_view query_text, obs::Trace* analyze_trace,
+    obs::Trace** trace,
+    const std::function<Access(const Query&)>& choose_access);
 
 }  // namespace xarch::query
 

@@ -35,13 +35,14 @@ namespace xarch::net {
 /// "XNP1"-style magic guarding against a non-xarch peer (first HELLO field).
 inline constexpr uint32_t kProtocolMagic = 0x50524158u;  // "XARP" LE
 
-/// Protocol versions this build can speak. Version 2 adds a flags octet in
+/// Protocol versions this build can speak. Version 2 put a flags octet in
 /// front of the QUERY payload (bit 0 asks for a TRACE frame before DONE)
-/// and the METRICS request; v1 sessions still send raw XAQL text.
-inline constexpr uint32_t kProtocolVersionMin = 1;
+/// and added the METRICS request. Version 1 (raw XAQL text, no METRICS) is
+/// no longer spoken: a v1-only peer gets kVersionMismatch at HELLO.
+inline constexpr uint32_t kProtocolVersionMin = 2;
 inline constexpr uint32_t kProtocolVersionMax = 2;
 
-/// QUERY flags octet (protocol version >= 2 only).
+/// QUERY flags octet.
 inline constexpr uint8_t kQueryFlagTrace = 0x01;  ///< send TRACE before DONE
 
 /// Hard ceiling on one frame's body. Bounds server memory per session and

@@ -226,13 +226,6 @@ bool Server::HandleFrame(const net::Socket& socket, const net::Frame& frame,
     case net::MessageType::kStats:
       return HandleStats(socket, reader, session);
     case net::MessageType::kMetrics:
-      if (session->version < 2) {
-        // v1 never negotiated METRICS; answer exactly as an unknown type
-        // so old clients see consistent behavior.
-        CountProtocolError();
-        return SendError(socket, net::ErrorCode::kUnknownMessage,
-                         "METRICS requires protocol version >= 2", session);
-      }
       return HandleMetrics(socket, session);
     case net::MessageType::kPing:
       return net::WriteFrame(socket, net::MessageType::kPong, "",
@@ -289,7 +282,6 @@ bool Server::HandleHello(const net::Socket& socket, const net::Frame& frame,
   reply.server_name = options_.server_name;
   reply.backend = store_.name();
   session->hello_done = true;
-  session->version = reply.version;
   return net::WriteFrame(socket, net::MessageType::kHelloOk,
                          net::EncodeHelloReply(reply), &session->bytes_out)
       .ok();
@@ -315,22 +307,17 @@ bool Server::HandleQuery(const net::Socket& socket, const net::Frame& frame,
                      session);
   }
   if (options_.query_gate_hook) options_.query_gate_hook();
-  // At protocol v2 the payload leads with a flags octet; v1 sessions still
-  // send raw XAQL text.
+  // The payload leads with a flags octet, then the XAQL text.
   std::string_view query_text = frame.payload;
-  bool wire_trace = false;
-  if (session->version >= 2) {
-    if (query_text.empty()) {
-      counters_.inflight_queries.fetch_sub(1, std::memory_order_acq_rel);
-      CountProtocolError();
-      return SendError(socket, net::ErrorCode::kBadRequest,
-                       "v2 QUERY payload is missing its flags octet",
-                       session);
-    }
-    wire_trace = (static_cast<uint8_t>(query_text[0]) &
-                  net::kQueryFlagTrace) != 0;
-    query_text.remove_prefix(1);
+  if (query_text.empty()) {
+    counters_.inflight_queries.fetch_sub(1, std::memory_order_acq_rel);
+    CountProtocolError();
+    return SendError(socket, net::ErrorCode::kBadRequest,
+                     "QUERY payload is missing its flags octet", session);
   }
+  const bool wire_trace =
+      (static_cast<uint8_t>(query_text[0]) & net::kQueryFlagTrace) != 0;
+  query_text.remove_prefix(1);
   const bool slow_log = options_.slow_query_us >= 0;
   obs::Trace trace;
   obs::Trace* trace_ptr = (wire_trace || slow_log) ? &trace : nullptr;

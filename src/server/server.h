@@ -138,7 +138,6 @@ class Server {
     uint64_t ingests = 0;
     uint64_t bytes_out = 0;
     bool hello_done = false;
-    uint32_t version = 1;  ///< negotiated protocol version
   };
 
   /// Handles one decoded request frame. Returns false when the session

@@ -129,15 +129,6 @@ std::string ShardDirName(size_t shard) {
   return buf;
 }
 
-std::string SpecToTextLines(const keys::KeySpecSet& spec) {
-  std::string out;
-  for (const auto& key : spec.keys()) {
-    out += key.ToString();
-    out += '\n';
-  }
-  return out;
-}
-
 /// Construction/tuning options for one shard's inner store, derived from
 /// the caller's options and the manifest (which is authoritative for the
 /// spec and fingerprint parameters).
@@ -219,7 +210,7 @@ StatusOr<std::unique_ptr<Store>> OpenShardedDurable(const std::string& dir,
     manifest.backend = options.backend;
     manifest.fingerprint_bits = options.store.archive.annotate.fingerprint_bits;
     manifest.sort_children = options.store.archive.annotate.sort_children;
-    manifest.spec_text = SpecToTextLines(options.store.spec);
+    manifest.spec_text = options.store.spec.ToText();
     XARCH_RETURN_NOT_OK(vfs::AtomicWriteFile(
         *vfs, manifest_path, EncodeManifest(manifest), /*sync=*/true));
   }
@@ -311,20 +302,22 @@ StatusOr<std::unique_ptr<DurableStore>> DurableStore::Open(
   std::unique_ptr<Store> inner;
   XARCH_ASSIGN_OR_RETURN(bool have_snapshot, vfs->Exists(snapshot_path));
   if (have_snapshot) {
+    // One parse and one checksum pass: the backend check and the restore
+    // read the same view. Either container format may be on disk — a
+    // snapshot written before every backend switched to XAR2 is XAR1.
     XARCH_ASSIGN_OR_RETURN(std::string bytes, vfs->ReadFile(snapshot_path));
-    // Format-agnostic probe: archive backends checkpoint as XAR2, the
-    // others as XAR1, and an archive snapshot written before XAR2 became
-    // the only archive format may still be XAR1.
+    XARCH_ASSIGN_OR_RETURN(
+        persist::SnapshotView snapshot,
+        persist::SnapshotView::OpenFromBytes(std::move(bytes)));
     XARCH_ASSIGN_OR_RETURN(std::string saved_backend,
-                           persist::ReadSnapshotBackend(bytes));
+                           snapshot.SectionString("backend"));
     if (saved_backend != options.backend) {
       return Status::InvalidArgument(
           "durable store at " + dir + " was created with backend \"" +
-          std::string(saved_backend) + "\", not \"" + options.backend + "\"");
+          saved_backend + "\", not \"" + options.backend + "\"");
     }
-    XARCH_ASSIGN_OR_RETURN(
-        inner, StoreRegistry::Global().OpenFromBytes(
-                   bytes, std::move(options.store)));
+    XARCH_ASSIGN_OR_RETURN(inner, StoreRegistry::Global().Restore(
+                                      snapshot, std::move(options.store)));
   } else {
     XARCH_ASSIGN_OR_RETURN(
         inner,

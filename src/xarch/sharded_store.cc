@@ -12,50 +12,12 @@
 #include "persist/wire.h"
 #include "query/evaluator.h"
 #include "query/explain.h"
-#include "query/parser.h"
 #include "query/planner.h"
 #include "xarch/store_registry.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xarch {
-
-namespace {
-
-std::string ShardSpecText(const keys::KeySpecSet& spec) {
-  std::string out;
-  for (const auto& key : spec.keys()) {
-    out += key.ToString();
-    out += '\n';
-  }
-  return out;
-}
-
-/// Parse + plan for the scatter/gather access strategy, mirroring the
-/// trace behaviour of the base Store::QueryImpl (parse and plan spans,
-/// `explain analyze` promoting the local trace).
-StatusOr<query::Plan> ParseAndPlanScatter(std::string_view query_text,
-                                          obs::Trace* analyze_trace,
-                                          obs::Trace** trace) {
-  const uint64_t parse_start = obs::MonotonicMicros();
-  XARCH_ASSIGN_OR_RETURN(query::Query ast, query::Parse(query_text));
-  const uint64_t parse_end = obs::MonotonicMicros();
-  if (ast.analyze && *trace == nullptr) *trace = analyze_trace;
-  if (*trace != nullptr) {
-    (*trace)->AddCompleted("parse", obs::Trace::kNoSpan, parse_start,
-                           parse_end);
-  }
-  const uint64_t plan_start = obs::MonotonicMicros();
-  query::Plan plan =
-      query::MakePlan(std::move(ast), query::Access::kShardScatter);
-  if (*trace != nullptr) {
-    (*trace)->AddCompleted("plan", obs::Trace::kNoSpan, plan_start,
-                           obs::MonotonicMicros());
-  }
-  return plan;
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ ShardedStore
 
@@ -420,7 +382,10 @@ Status ShardedStore::QueryImpl(std::string_view query_text, Sink& sink,
   obs::Trace analyze_trace;
   XARCH_ASSIGN_OR_RETURN(
       query::Plan plan,
-      ParseAndPlanScatter(query_text, &analyze_trace, &trace));
+      query::ParseAndPlan(query_text, &analyze_trace, &trace,
+                          [](const query::Query&) {
+                            return query::Access::kShardScatter;
+                          }));
 
   // Routed fast path: a query whose first keyed step pins one shard is
   // answered wholly by that shard's own (possibly indexed, streaming)
@@ -524,7 +489,7 @@ Status ShardedStore::SnapshotImpl(persist::SnapshotWriter& writer) const {
   // committed version count (the outer lock is only shared for us).
   std::lock_guard<std::mutex> ingest(ingest_mu_);
   writer.Add("backend", "sharded");
-  writer.Add("spec", ShardSpecText(router_.spec()));
+  writer.Add("spec", router_.spec().ToText());
   std::string opts;
   persist::PutU32(static_cast<uint32_t>(shards_.size()), &opts);
   persist::PutU64(committed(), &opts);
@@ -599,15 +564,15 @@ StatusOr<std::unique_ptr<Store>> MakeShardedBackend(StoreOptions options) {
 }
 
 StatusOr<std::unique_ptr<Store>> RestoreShardedBackend(
-    const persist::SnapshotReader& snapshot, StoreOptions tuning) {
-  XARCH_ASSIGN_OR_RETURN(std::string_view spec_text,
-                         snapshot.Section("spec"));
+    const persist::SnapshotView& snapshot, StoreOptions tuning) {
+  XARCH_ASSIGN_OR_RETURN(std::string spec_text,
+                         snapshot.SectionString("spec"));
   auto spec = keys::ParseKeySpecSet(spec_text);
   if (!spec.ok()) {
     return Status::DataLoss("snapshot key specification does not parse: " +
                             spec.status().message());
   }
-  XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
+  XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
   persist::Cursor cursor(opts);
   uint32_t n_shards = 0, fingerprint_bits = 0;
   uint64_t committed = 0;
@@ -630,13 +595,13 @@ StatusOr<std::unique_ptr<Store>> RestoreShardedBackend(
   std::vector<std::unique_ptr<Store>> shards;
   shards.reserve(n_shards);
   for (uint32_t s = 0; s < n_shards; ++s) {
-    XARCH_ASSIGN_OR_RETURN(std::string_view bytes,
-                           snapshot.Section("shard" + std::to_string(s)));
+    XARCH_ASSIGN_OR_RETURN(std::string bytes,
+                           snapshot.SectionString("shard" + std::to_string(s)));
     XARCH_ASSIGN_OR_RETURN(StoreOptions shard_tuning,
                            ShardStoreOptions(tuning, s));
     XARCH_ASSIGN_OR_RETURN(std::unique_ptr<Store> shard,
                            StoreRegistry::Global().OpenFromBytes(
-                               bytes, std::move(shard_tuning)));
+                               std::move(bytes), std::move(shard_tuning)));
     shards.push_back(std::move(shard));
   }
   XARCH_ASSIGN_OR_RETURN(

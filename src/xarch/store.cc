@@ -24,7 +24,6 @@
 #include "obs/trace.h"
 #include "query/evaluator.h"
 #include "query/explain.h"
-#include "query/parser.h"
 #include "query/planner.h"
 #include "util/thread_pool.h"
 #include "vfs/vfs.h"
@@ -242,48 +241,15 @@ void Store::CountQuery(const query::EvalResult& result) {
                                         std::memory_order_relaxed);
 }
 
-namespace {
-
-/// Parse + plan, timed into the trace when one is attached. An
-/// `explain analyze` query with no caller-supplied trace promotes
-/// `analyze_trace` to the active trace — parse ran before the flag was
-/// known, so its span is recorded from the measured interval.
-/// `choose_access` maps the parsed AST to the access strategy (and may
-/// capture side decisions, like the archive backend's index selection).
-template <typename ChooseAccess>
-StatusOr<query::Plan> ParseAndPlanTraced(std::string_view query_text,
-                                         obs::Trace* analyze_trace,
-                                         obs::Trace** trace,
-                                         ChooseAccess&& choose_access) {
-  const uint64_t parse_start = obs::MonotonicMicros();
-  XARCH_ASSIGN_OR_RETURN(query::Query ast, query::Parse(query_text));
-  const uint64_t parse_end = obs::MonotonicMicros();
-  if (ast.analyze && *trace == nullptr) *trace = analyze_trace;
-  if (*trace != nullptr) {
-    (*trace)->AddCompleted("parse", obs::Trace::kNoSpan, parse_start,
-                           parse_end);
-  }
-  const uint64_t plan_start = obs::MonotonicMicros();
-  const query::Access access = choose_access(ast);
-  query::Plan plan = query::MakePlan(std::move(ast), access);
-  if (*trace != nullptr) {
-    (*trace)->AddCompleted("plan", obs::Trace::kNoSpan, plan_start,
-                           obs::MonotonicMicros());
-  }
-  return plan;
-}
-
-}  // namespace
-
 Status Store::QueryImpl(std::string_view query_text, Sink& sink,
                         obs::Trace* trace) {
   obs::Trace analyze_trace;
   XARCH_ASSIGN_OR_RETURN(
       query::Plan plan,
-      ParseAndPlanTraced(query_text, &analyze_trace, &trace,
-                         [](const query::Query&) {
-                           return query::Access::kGeneric;
-                         }));
+      query::ParseAndPlan(query_text, &analyze_trace, &trace,
+                          [](const query::Query&) {
+                            return query::Access::kGeneric;
+                          }));
   StorePrimitives primitives = Primitives();
   query::EvalOptions eval_options;
   // Range fan-out is safe only for backends whose reads are const: the
@@ -307,31 +273,19 @@ namespace {
 
 // ------------------------------------------------------ snapshot helpers
 
-/// The key specification in the Appendix B text format, the same external
-/// metadata a live archive is configured with — snapshots embed it so a
-/// reopened store needs no side channel.
-std::string SpecToText(const keys::KeySpecSet& spec) {
-  std::string out;
-  for (const auto& key : spec.keys()) {
-    out += key.ToString();
-    out += '\n';
-  }
-  return out;
-}
-
-StatusOr<keys::KeySpecSet> SpecFromText(std::string_view text) {
+/// The snapshot's "spec" section: the key specification in the Appendix B
+/// text format (KeySpecSet::ToText), the same external metadata a live
+/// archive is configured with — snapshots embed it so a reopened store
+/// needs no side channel.
+StatusOr<keys::KeySpecSet> SpecFromSnapshot(
+    const persist::SnapshotView& snapshot) {
+  XARCH_ASSIGN_OR_RETURN(std::string text, snapshot.SectionString("spec"));
   auto spec = keys::ParseKeySpecSet(text);
   if (!spec.ok()) {
     return Status::DataLoss("snapshot key specification does not parse: " +
                             spec.status().message());
   }
   return spec;
-}
-
-StatusOr<keys::KeySpecSet> SpecFromSnapshot(
-    const persist::SnapshotReader& snapshot) {
-  XARCH_ASSIGN_OR_RETURN(std::string_view text, snapshot.Section("spec"));
-  return SpecFromText(text);
 }
 
 void EncodeArchiveOptions(const core::ArchiveOptions& options,
@@ -369,12 +323,13 @@ std::string ArchiveXmlCompact(const core::Archive& archive) {
   return archive.ToXml(options);
 }
 
-/// Loads one archive snapshot section, running the full structural Check
-/// so a snapshot that passed its CRCs but violates archive invariants is
-/// still rejected at open time.
-StatusOr<core::Archive> ArchiveFromSnapshotXml(std::string_view xml,
-                                               keys::KeySpecSet spec,
-                                               core::ArchiveOptions options) {
+/// Loads one archive XML snapshot section onto the heap, running the full
+/// structural Check so a snapshot that passed its CRCs but violates archive
+/// invariants is still rejected.
+StatusOr<core::Archive> ArchiveFromSection(
+    const persist::SnapshotView& snapshot, const std::string& section,
+    keys::KeySpecSet spec, core::ArchiveOptions options) {
+  XARCH_ASSIGN_OR_RETURN(std::string xml, snapshot.SectionString(section));
   auto archive = core::Archive::FromXml(xml, std::move(spec), options);
   if (!archive.ok()) return archive;
   XARCH_RETURN_NOT_OK(archive->Check());
@@ -418,8 +373,7 @@ IngestMetrics MakeIngestMetrics(const std::string& backend) {
 
 // --------------------------------------------------------------- archive
 
-/// The "spec" and "opts" sections of an archive snapshot, decoded — shared
-/// by the parsed (XAR1) and mapped (XAR2) restore paths.
+/// The "spec" and "opts" sections of an archive snapshot, decoded.
 struct ArchiveConfig {
   keys::KeySpecSet spec;
   core::ArchiveOptions options;
@@ -427,10 +381,11 @@ struct ArchiveConfig {
 };
 
 StatusOr<ArchiveConfig> DecodeArchiveConfig(
-    std::string_view spec_text, std::string_view opts, const char* name,
+    const persist::SnapshotView& snapshot, const char* name,
     core::FrontierStrategy expected_frontier) {
   ArchiveConfig config;
-  XARCH_ASSIGN_OR_RETURN(config.spec, SpecFromText(spec_text));
+  XARCH_ASSIGN_OR_RETURN(config.spec, SpecFromSnapshot(snapshot));
+  XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
   persist::Cursor cursor(opts);
   uint8_t use_index = 0;
   XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, &config.options));
@@ -501,33 +456,23 @@ class ArchiveStore final : public Store {
            kPersistence;
   }
 
-  /// XAR1 restore: parses the snapshot's archive section onto the heap.
-  static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotReader& snapshot, const char* name,
-      core::FrontierStrategy expected_frontier) {
-    XARCH_ASSIGN_OR_RETURN(std::string_view spec, snapshot.Section("spec"));
-    XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
-    XARCH_ASSIGN_OR_RETURN(
-        ArchiveConfig config,
-        DecodeArchiveConfig(spec, opts, name, expected_frontier));
-    XARCH_ASSIGN_OR_RETURN(std::string_view xml, snapshot.Section("archive"));
-    XARCH_ASSIGN_OR_RETURN(
-        core::Archive archive,
-        ArchiveFromSnapshotXml(xml, std::move(config.spec), config.options));
-    return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
-        name, std::move(archive), config.use_index));
-  }
-
-  /// XAR2 restore: attaches the flat sections (and index pages when
-  /// present) of an already-verified snapshot view.
+  /// Attaches the flat sections (and index pages when present) of a
+  /// verified snapshot view. A legacy XAR1 snapshot has no flat sections;
+  /// its archive section is parsed onto the heap instead.
   static StatusOr<std::unique_ptr<Store>> Restore(
       const persist::SnapshotView& snapshot, const char* name,
       core::FrontierStrategy expected_frontier) {
-    XARCH_ASSIGN_OR_RETURN(std::string spec, snapshot.SectionString("spec"));
-    XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
     XARCH_ASSIGN_OR_RETURN(
         ArchiveConfig config,
-        DecodeArchiveConfig(spec, opts, name, expected_frontier));
+        DecodeArchiveConfig(snapshot, name, expected_frontier));
+    if (!snapshot.HasSection("nodes")) {
+      XARCH_ASSIGN_OR_RETURN(
+          core::Archive archive,
+          ArchiveFromSection(snapshot, "archive", std::move(config.spec),
+                             config.options));
+      return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
+          name, std::move(archive), config.use_index));
+    }
     core::FlatArchive::Sections sections;
     XARCH_ASSIGN_OR_RETURN(sections.meta, snapshot.RawSection("meta"));
     XARCH_ASSIGN_OR_RETURN(sections.strings, snapshot.RawSection("strings"));
@@ -636,16 +581,16 @@ class ArchiveStore final : public Store {
     obs::Trace analyze_trace;
     XARCH_ASSIGN_OR_RETURN(
         query::Plan plan,
-        ParseAndPlanTraced(query_text, &analyze_trace, &trace,
-                           [&](const query::Query& ast) {
-                             if (ast.temporal.kind !=
-                                 query::TemporalKind::kDiff) {
-                               index = Index();
-                             }
-                             return index != nullptr
-                                        ? query::Access::kArchiveIndexed
-                                        : query::Access::kArchiveScan;
-                           }));
+        query::ParseAndPlan(query_text, &analyze_trace, &trace,
+                            [&](const query::Query& ast) {
+                              if (ast.temporal.kind !=
+                                  query::TemporalKind::kDiff) {
+                                index = Index();
+                              }
+                              return index != nullptr
+                                         ? query::Access::kArchiveIndexed
+                                         : query::Access::kArchiveScan;
+                            }));
     query::ArchiveDiffFn diff = [this](Version from, Version to) {
       return DiffVersionsImpl(from, to);
     };
@@ -692,14 +637,12 @@ class ArchiveStore final : public Store {
     std::string opts;
     EncodeArchiveOptions(archive_->options(), &opts);
     persist::PutU8(use_index_ ? 1 : 0, &opts);
-    persist::SnapshotWriter::Options options;
-    options.format = persist::kContainerFormatVersion2;
-    persist::SnapshotWriter writer(options);
-    // XAR2: the metadata and flat sections are stored raw so a mapped
-    // reader navigates them in place; only the archive XML (kept for heap
+    persist::SnapshotWriter writer;
+    // The metadata and flat sections are stored raw so a mapped reader
+    // navigates them in place; only the archive XML (kept for heap
     // materialization) is worth compressing.
     writer.AddRaw("backend", name_);
-    writer.AddRaw("spec", SpecToText(archive_->spec()));
+    writer.AddRaw("spec", archive_->spec().ToText());
     writer.AddRaw("opts", std::move(opts));
     writer.Add("archive", ArchiveXmlCompact(*archive_));
     core::FlatArchiveEncoder encoder(*archive_);
@@ -743,13 +686,12 @@ class ArchiveStore final : public Store {
     if (mapping_ == nullptr) return archive_.get();
     std::lock_guard<std::mutex> lock(heap_mu_);
     if (archive_ == nullptr) {
-      XARCH_ASSIGN_OR_RETURN(std::string xml,
-                             mapping_->snapshot.SectionString("archive"));
       XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec,
                              mapping_->config.spec.Clone());
-      XARCH_ASSIGN_OR_RETURN(core::Archive archive,
-                             ArchiveFromSnapshotXml(xml, std::move(spec),
-                                                    mapping_->config.options));
+      XARCH_ASSIGN_OR_RETURN(
+          core::Archive archive,
+          ArchiveFromSection(mapping_->snapshot, "archive", std::move(spec),
+                             mapping_->config.options));
       archive_ = std::make_unique<core::Archive>(std::move(archive));
     }
     return archive_.get();
@@ -885,8 +827,8 @@ class FullCopyStore final : public RepoStore<diff::FullCopyRepo> {
 /// Shared restorer of the repository-backed baselines.
 template <typename StoreT, typename RepoT>
 StatusOr<std::unique_ptr<Store>> RestoreRepoBackend(
-    const persist::SnapshotReader& snapshot) {
-  XARCH_ASSIGN_OR_RETURN(std::string_view bytes, snapshot.Section("repo"));
+    const persist::SnapshotView& snapshot) {
+  XARCH_ASSIGN_OR_RETURN(std::string bytes, snapshot.SectionString("repo"));
   XARCH_ASSIGN_OR_RETURN(RepoT repo, RepoT::DecodeState(bytes));
   auto store = std::make_unique<StoreT>();
   store->AdoptRepo(std::move(repo));
@@ -955,7 +897,7 @@ class ExtmemStore final : public Store {
 
   Status SnapshotImpl(persist::SnapshotWriter& writer) const override {
     writer.Add("backend", "extmem");
-    writer.Add("spec", SpecToText(ext_.spec()));
+    writer.Add("spec", ext_.spec().ToText());
     std::string opts;
     persist::PutU32(ext_.version_count(), &opts);
     persist::PutU32(
@@ -1141,7 +1083,7 @@ class CheckpointArchiveStore final : public Store {
 
   Status SnapshotImpl(persist::SnapshotWriter& writer) const override {
     writer.Add("backend", "checkpoint-archive");
-    writer.Add("spec", SpecToText(scratch_spec_));
+    writer.Add("spec", scratch_spec_.ToText());
     std::string opts;
     persist::PutU64(archive_.checkpoint_every(), &opts);
     persist::PutU8(archive_.pending_checkpoint() ? 1 : 0, &opts);
@@ -1157,9 +1099,9 @@ class CheckpointArchiveStore final : public Store {
 
  public:
   static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotReader& snapshot) {
+      const persist::SnapshotView& snapshot) {
     XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, SpecFromSnapshot(snapshot));
-    XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
+    XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
     persist::Cursor cursor(opts);
     uint64_t k = 0;
     uint8_t pending = 0;
@@ -1174,15 +1116,14 @@ class CheckpointArchiveStore final : public Store {
       return Status::DataLoss("checkpoint-archive snapshot declares k=0");
     }
     std::vector<core::Archive> segments;
-    // nsegments is untrusted; the per-segment Section() reads bound it.
+    // nsegments is untrusted; the per-segment section reads bound it.
     segments.reserve(std::min<uint32_t>(nsegments, 4096));
     for (uint32_t i = 0; i < nsegments; ++i) {
-      XARCH_ASSIGN_OR_RETURN(std::string_view xml,
-                             snapshot.Section("seg" + std::to_string(i)));
       XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet segment_spec, spec.Clone());
       XARCH_ASSIGN_OR_RETURN(
           core::Archive segment,
-          ArchiveFromSnapshotXml(xml, std::move(segment_spec), options));
+          ArchiveFromSection(snapshot, "seg" + std::to_string(i),
+                             std::move(segment_spec), options));
       segments.push_back(std::move(segment));
     }
     XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet scratch, spec.Clone());
@@ -1258,8 +1199,8 @@ class CheckpointDiffStore final : public Store {
 
  public:
   static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotReader& snapshot) {
-    XARCH_ASSIGN_OR_RETURN(std::string_view bytes, snapshot.Section("repo"));
+      const persist::SnapshotView& snapshot) {
+    XARCH_ASSIGN_OR_RETURN(std::string bytes, snapshot.SectionString("repo"));
     XARCH_ASSIGN_OR_RETURN(CheckpointedDiffRepo repo,
                            CheckpointedDiffRepo::DecodeState(bytes));
     return std::unique_ptr<Store>(
@@ -1309,9 +1250,9 @@ bool ResolveExtmemWorkDir(extmem::ExternalArchiver::Options* options) {
 }
 
 StatusOr<std::unique_ptr<Store>> RestoreExtmemBackend(
-    const persist::SnapshotReader& snapshot, StoreOptions tuning) {
+    const persist::SnapshotView& snapshot, StoreOptions tuning) {
   XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, SpecFromSnapshot(snapshot));
-  XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
+  XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
   persist::Cursor cursor(opts);
   uint32_t count = 0, fingerprint_bits = 0;
   uint8_t sort_children = 0;
@@ -1328,7 +1269,7 @@ StatusOr<std::unique_ptr<Store>> RestoreExtmemBackend(
   options.annotate.fingerprint_bits = static_cast<int>(fingerprint_bits);
   options.annotate.sort_children = sort_children != 0;
   bool owns_work_dir = ResolveExtmemWorkDir(&options);
-  XARCH_ASSIGN_OR_RETURN(std::string_view rows, snapshot.Section("rows"));
+  XARCH_ASSIGN_OR_RETURN(std::string rows, snapshot.SectionString("rows"));
   auto store = std::make_unique<ExtmemStore>(std::move(spec), options,
                                              owns_work_dir);
   XARCH_RETURN_NOT_OK(store->AdoptSnapshot(rows, count));
@@ -1353,10 +1294,6 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return MakeArchiveBackend(std::move(options), "archive",
                                   core::FrontierStrategy::kBuckets);
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
-        return ArchiveStore::Restore(snapshot, "archive",
-                                     core::FrontierStrategy::kBuckets);
-      },
       [](const persist::SnapshotView& snapshot, StoreOptions) {
         return ArchiveStore::Restore(snapshot, "archive",
                                      core::FrontierStrategy::kBuckets);
@@ -1371,10 +1308,6 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return MakeArchiveBackend(std::move(options), "archive-weave",
                                   core::FrontierStrategy::kWeave);
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
-        return ArchiveStore::Restore(snapshot, "archive-weave",
-                                     core::FrontierStrategy::kWeave);
-      },
       [](const persist::SnapshotView& snapshot, StoreOptions) {
         return ArchiveStore::Restore(snapshot, "archive-weave",
                                      core::FrontierStrategy::kWeave);
@@ -1387,7 +1320,7 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
       [](StoreOptions) -> StatusOr<std::unique_ptr<Store>> {
         return std::unique_ptr<Store>(std::make_unique<IncrDiffStore>());
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
         return RestoreRepoBackend<IncrDiffStore, diff::IncrementalDiffRepo>(
             snapshot);
       },
@@ -1399,7 +1332,7 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
       [](StoreOptions) -> StatusOr<std::unique_ptr<Store>> {
         return std::unique_ptr<Store>(std::make_unique<CumDiffStore>());
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
         return RestoreRepoBackend<CumDiffStore, diff::CumulativeDiffRepo>(
             snapshot);
       },
@@ -1411,7 +1344,7 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
       [](StoreOptions) -> StatusOr<std::unique_ptr<Store>> {
         return std::unique_ptr<Store>(std::make_unique<FullCopyStore>());
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
         return RestoreRepoBackend<FullCopyStore, diff::FullCopyRepo>(snapshot);
       },
   }));
@@ -1445,13 +1378,13 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return std::unique_ptr<Store>(
             std::make_unique<CompressedStore>(std::move(inner)));
       },
-      [](const persist::SnapshotReader& snapshot,
+      [](const persist::SnapshotView& snapshot,
          StoreOptions tuning) -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_ASSIGN_OR_RETURN(std::string_view inner_bytes,
-                               snapshot.Section("inner"));
+        XARCH_ASSIGN_OR_RETURN(std::string inner_bytes,
+                               snapshot.SectionString("inner"));
         XARCH_ASSIGN_OR_RETURN(std::unique_ptr<Store> inner,
                                StoreRegistry::Global().OpenFromBytes(
-                                   inner_bytes, std::move(tuning)));
+                                   std::move(inner_bytes), std::move(tuning)));
         return std::unique_ptr<Store>(
             std::make_unique<CompressedStore>(std::move(inner)));
       },
@@ -1468,7 +1401,7 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
             std::move(options.spec), std::move(scratch),
             options.checkpoint_every, options.archive));
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
         return CheckpointArchiveStore::Restore(snapshot);
       },
   }));
@@ -1480,7 +1413,7 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return std::unique_ptr<Store>(
             std::make_unique<CheckpointDiffStore>(options.checkpoint_every));
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions) {
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
         return CheckpointDiffStore::Restore(snapshot);
       },
   }));

@@ -56,46 +56,24 @@ StatusOr<std::unique_ptr<Store>> StoreRegistry::OpenFromFile(
     const std::string& path, StoreOptions tuning, vfs::Vfs* vfs) const {
   if (vfs == nullptr) vfs = vfs::Vfs::Posix();
   // Map() is the zero-copy seam: on the mmap backend the container is
-  // parsed straight out of the page cache; elsewhere it buffers.
+  // parsed straight out of the page cache; elsewhere it buffers. The view
+  // adopts the mapping, so a store built on it navigates the file in place.
   XARCH_ASSIGN_OR_RETURN(std::unique_ptr<vfs::MappedFile> mapping,
                          vfs->Map(path));
-  if (persist::IsXar2Snapshot(mapping->data())) {
-    // XAR2 opens over the mapping itself: the view (and the store built on
-    // it) navigates the file's bytes in place, so the mapping is adopted
-    // rather than parsed-and-dropped.
-    XARCH_ASSIGN_OR_RETURN(persist::SnapshotView snapshot,
-                           persist::SnapshotView::Adopt(std::move(mapping)));
-    return OpenView(std::move(snapshot), std::move(tuning));
-  }
-  return OpenFromBytes(mapping->data(), std::move(tuning));
+  XARCH_ASSIGN_OR_RETURN(persist::SnapshotView snapshot,
+                         persist::SnapshotView::Adopt(std::move(mapping)));
+  return Restore(snapshot, std::move(tuning));
 }
 
 StatusOr<std::unique_ptr<Store>> StoreRegistry::OpenFromBytes(
-    std::string_view bytes, StoreOptions tuning) const {
-  if (persist::IsXar2Snapshot(bytes)) {
-    XARCH_ASSIGN_OR_RETURN(persist::SnapshotView snapshot,
-                           persist::SnapshotView::OpenFromBytes(bytes));
-    return OpenView(std::move(snapshot), std::move(tuning));
-  }
-  XARCH_ASSIGN_OR_RETURN(persist::SnapshotReader snapshot,
-                         persist::SnapshotReader::Parse(bytes));
-  XARCH_ASSIGN_OR_RETURN(std::string_view backend,
-                         snapshot.Section("backend"));
-  auto it = entries_.find(std::string(backend));
-  if (it == entries_.end()) {
-    return Status::NotFound("snapshot was written by backend \"" +
-                            std::string(backend) +
-                            "\", which is not registered");
-  }
-  if (!it->second.restorer) {
-    return Status::Unimplemented("backend \"" + it->first +
-                                 "\" has no snapshot restorer");
-  }
-  return it->second.restorer(snapshot, std::move(tuning));
+    std::string bytes, StoreOptions tuning) const {
+  XARCH_ASSIGN_OR_RETURN(persist::SnapshotView snapshot,
+                         persist::SnapshotView::OpenFromBytes(std::move(bytes)));
+  return Restore(snapshot, std::move(tuning));
 }
 
-StatusOr<std::unique_ptr<Store>> StoreRegistry::OpenView(
-    persist::SnapshotView snapshot, StoreOptions tuning) const {
+StatusOr<std::unique_ptr<Store>> StoreRegistry::Restore(
+    const persist::SnapshotView& snapshot, StoreOptions tuning) const {
   XARCH_ASSIGN_OR_RETURN(std::string backend,
                          snapshot.SectionString("backend"));
   auto it = entries_.find(backend);
@@ -103,11 +81,11 @@ StatusOr<std::unique_ptr<Store>> StoreRegistry::OpenView(
     return Status::NotFound("snapshot was written by backend \"" + backend +
                             "\", which is not registered");
   }
-  if (!it->second.view_restorer) {
+  if (!it->second.restorer) {
     return Status::Unimplemented("backend \"" + it->first +
-                                 "\" cannot open XAR2 snapshots");
+                                 "\" has no snapshot restorer");
   }
-  return it->second.view_restorer(snapshot, std::move(tuning));
+  return it->second.restorer(snapshot, std::move(tuning));
 }
 
 StatusOr<std::unique_ptr<Store>> StoreRegistry::Open(const std::string& path,

@@ -14,7 +14,6 @@
 namespace xarch {
 
 namespace persist {
-class SnapshotReader;
 class SnapshotView;
 }  // namespace persist
 
@@ -48,17 +47,13 @@ class StoreRegistry {
   using Factory =
       std::function<StatusOr<std::unique_ptr<Store>>(StoreOptions options)>;
 
-  /// Rebuilds a store from a parsed snapshot container (Store::SaveToFile
-  /// output). `tuning` supplies only the knobs a snapshot deliberately
-  /// does not pin — the extmem working directory and memory budget — and
-  /// is ignored by backends whose state is self-contained.
-  using Restorer = std::function<StatusOr<std::unique_ptr<Store>>(
-      const persist::SnapshotReader& snapshot, StoreOptions tuning)>;
-
-  /// Rebuilds a store over a verified XAR2 snapshot view without copying
-  /// its payloads: the restorer keeps (a copy of) the view, whose shared
+  /// Rebuilds a store from a verified snapshot view (Store::SaveToFile
+  /// output, either container format). `tuning` supplies only the knobs a
+  /// snapshot deliberately does not pin — the extmem working directory and
+  /// memory budget — and is ignored by backends whose state is
+  /// self-contained. A restorer may keep (a copy of) the view, whose shared
   /// storage is the mapped file itself on the OpenFromFile path.
-  using ViewRestorer = std::function<StatusOr<std::unique_ptr<Store>>(
+  using Restorer = std::function<StatusOr<std::unique_ptr<Store>>(
       const persist::SnapshotView& snapshot, StoreOptions tuning)>;
 
   /// One registered backend.
@@ -72,10 +67,6 @@ class StoreRegistry {
     /// Optional: absent means snapshots of this backend cannot be opened
     /// (OpenFromFile fails with kUnimplemented).
     Restorer restorer;
-    /// Optional: opens XAR2 snapshots mapped-read-only. Absent means XAR2
-    /// snapshots naming this backend cannot be opened (the built-in
-    /// archive backends are the only XAR2 writers and both register one).
-    ViewRestorer view_restorer;
   };
 
   /// The process-wide registry with all built-in backends registered.
@@ -92,10 +83,9 @@ class StoreRegistry {
   static StatusOr<std::unique_ptr<Store>> Create(const std::string& name,
                                                  StoreOptions options = {});
 
-  /// Reopens a Store::SaveToFile snapshot: reads the container, verifies
-  /// its checksums (corruption → kDataLoss), and dispatches to the
-  /// restorer registered under the snapshot's "backend" section. The
-  /// result retrieves byte-identically to the store that was saved.
+  /// Reopens a Store::SaveToFile snapshot: parses the container, verifies
+  /// its checksums (corruption → kDataLoss), and restores it (Restore).
+  /// The result retrieves byte-identically to the store that was saved.
   /// `vfs` selects the file system the snapshot is read from — nullptr
   /// means the real disk; Vfs::Mmap() parses straight out of a mapping
   /// (zero-copy open for large snapshots).
@@ -103,9 +93,14 @@ class StoreRegistry {
                                                 StoreOptions tuning = {},
                                                 vfs::Vfs* vfs = nullptr) const;
 
-  /// OpenFromFile over in-memory container bytes.
-  StatusOr<std::unique_ptr<Store>> OpenFromBytes(std::string_view bytes,
+  /// OpenFromFile over in-memory container bytes, which the store may keep.
+  StatusOr<std::unique_ptr<Store>> OpenFromBytes(std::string bytes,
                                                  StoreOptions tuning = {}) const;
+
+  /// Dispatches a parsed snapshot to the restorer registered under its
+  /// "backend" section.
+  StatusOr<std::unique_ptr<Store>> Restore(const persist::SnapshotView& snapshot,
+                                           StoreOptions tuning = {}) const;
 
   /// Convenience: Global().OpenFromFile(...).
   static StatusOr<std::unique_ptr<Store>> Open(const std::string& path,
@@ -119,9 +114,6 @@ class StoreRegistry {
   const Entry* Find(const std::string& name) const;
 
  private:
-  StatusOr<std::unique_ptr<Store>> OpenView(persist::SnapshotView snapshot,
-                                            StoreOptions tuning) const;
-
   std::map<std::string, Entry> entries_;
 };
 

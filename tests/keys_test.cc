@@ -114,6 +114,26 @@ TEST(KeySpecSetTest, WildcardStepMatches) {
   EXPECT_EQ(spec.Lookup({"site", "item"}), nullptr);
 }
 
+TEST(KeySpecSetTest, ToTextRoundTripsThroughTheParser) {
+  // Snapshots and shard manifests embed ToText(); reparsing it must give
+  // back the same explicit keys (implied keys are re-derived, not stored).
+  for (const char* text :
+       {kCompanyKeys, "(/ROOT/Record, (Contributors, {Name, Date/Month}))",
+        "(/a, (b, {\\e}))\n(/a, (c, {}))\n(/a, (d, {.}))",
+        "(/site/regions/_, (item, {id}))"}) {
+    KeySpecSet spec = MustParseSpec(text);
+    const std::string once = spec.ToText();
+    KeySpecSet again = MustParseSpec(once);
+    EXPECT_EQ(again.ToText(), once) << text;
+    ASSERT_EQ(again.keys().size(), spec.keys().size()) << text;
+    EXPECT_EQ(again.all_keys().size(), spec.all_keys().size()) << text;
+  }
+  EXPECT_EQ(MustParseSpec(kCompanyKeys).ToText(),
+            "(/, (db, {}))\n(/db, (dept, {name}))\n"
+            "(/db/dept, (emp, {fn, ln}))\n(/db/dept/emp, (sal, {}))\n"
+            "(/db/dept/emp, (tel, {\\e}))\n");
+}
+
 // ----------------------------------------------------------------- Label
 
 TEST(LabelTest, CompareOrdersByTagThenArityThenPairs) {

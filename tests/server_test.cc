@@ -701,19 +701,19 @@ TEST(MetricsTest, ScrapeReturnsPrometheusTextCoveringAllSeams) {
             std::string::npos);
 }
 
-TEST(MetricsTest, V1SessionGetsUnknownMessageForMetrics) {
+TEST(ServerTest, V1ClientGetsVersionMismatch) {
+  // Protocol v1 (raw QUERY text, no METRICS) is no longer spoken: a client
+  // that offers only v1 is refused at HELLO like any disjoint range.
   TestServer ts = StartServer();
   ClientOptions options;
+  options.min_version = 1;
   options.max_version = 1;
-  auto client = MustConnect(ts, options);
-  EXPECT_EQ(client->protocol_version(), 1u);
-  auto text = client->Metrics();
-  EXPECT_FALSE(text.ok());
-  // A v1 query still round-trips: the flags octet is v2-only.
-  std::vector<std::string> versions = CompanyVersions();
-  std::vector<std::string_view> views(versions.begin(), versions.end());
-  ASSERT_TRUE(client->Ingest(views).ok());
-  EXPECT_TRUE(client->QueryToString("/db @ version 1").ok());
+  auto client = Client::Connect("127.0.0.1", ts.port(), options);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(client.status().message().find("no protocol version in common"),
+            std::string::npos)
+      << client.status().ToString();
 }
 
 TEST(TraceWireTest, TracedQueryDeliversSpanTreeAndSameBytes) {

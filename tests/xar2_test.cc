@@ -1,10 +1,11 @@
-// XAR2, the mmap-navigable snapshot container (format 2): heap-vs-mapped
-// answer parity across the archive-family backends (Retrieve, Query,
-// History, Diff, EXPLAIN probe counts), ingest promotion of a mapped
-// store, the committed XAR1 compatibility fixtures under tests/data/ and
-// their migration to XAR2 on save, and the flip-every-byte /
-// truncate-everywhere corruption sweeps over an XAR2 file (kDataLoss,
-// never an out-of-bounds read).
+// XAR2, the mmap-navigable snapshot container every backend writes:
+// heap-vs-mapped answer parity across the archive-family backends
+// (Retrieve, Query, History, Diff, EXPLAIN probe counts), ingest promotion
+// of a mapped store, the committed XAR1 fixtures under tests/data/ (one per
+// backend: byte-identical reads, migration to XAR2 on save, and the
+// flip-every-byte / truncate-everywhere / patched-version sweeps of the
+// legacy parser), and the same corruption sweeps over an XAR2 file
+// (kDataLoss, never an out-of-bounds read).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 
 #include "core/archive.h"
 #include "persist/container.h"
+#include "persist/crc32c.h"
 #include "vfs/vfs.h"
 #include "xarch/store.h"
 #include "xarch/store_registry.h"
@@ -300,16 +302,33 @@ TEST(Xar2PromotionTest, IngestIntoMappedStoreMaterializesOnce) {
 
 // --------------------------------------------- XAR1 fixtures (tests/data)
 
-// Committed XAR1 snapshot files, written by an earlier build whose
-// archive backends still wrote format 1. The registry must keep opening
-// them, and every read must match a live heap store built from the same
-// version texts — byte for byte. They are frozen (tests/data/README.md).
+// Committed XAR1 snapshot files, one per backend, written by earlier
+// builds that still wrote format 1. The registry must keep opening them,
+// and every read must match a live store built from the same version
+// texts — byte for byte. They are frozen (tests/data/README.md).
+const std::string kFixtureBackends[] = {
+    "archive",  "archive-weave", "incr-diff",
+    "full-copy", "cum-diff",     "extmem",
+    "compressed", "checkpoint-archive", "checkpoint-diff",
+    "sharded",
+};
+
+std::string FixturePath(const std::string& backend) {
+  return std::string(XARCH_TEST_DATA_DIR) + "/xar1_" + backend + ".xar";
+}
+
+std::string FixtureTestName(
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 class Xar1FixtureTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(Xar1FixtureTest, CommittedSnapshotStillOpensByteIdentically) {
   const std::string& backend = GetParam();
-  const std::string path =
-      std::string(XARCH_TEST_DATA_DIR) + "/xar1_" + backend + ".xar";
+  const std::string path = FixturePath(backend);
   const std::string bytes = ReadAll(path);
   ASSERT_GE(bytes.size(), 4u) << path;
   ASSERT_EQ(bytes.substr(0, 4), "XAR1") << path;
@@ -334,29 +353,65 @@ TEST_P(Xar1FixtureTest, CommittedSnapshotStillOpensByteIdentically) {
   EXPECT_EQ(*a, *b);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CommittedFixtures, Xar1FixtureTest,
-    ::testing::Values("archive", "archive-weave", "incr-diff", "full-copy",
-                      "cum-diff", "extmem", "compressed",
-                      "checkpoint-archive", "checkpoint-diff", "sharded"),
-    [](const auto& info) {
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar1FixtureTest,
+                         ::testing::ValuesIn(kFixtureBackends),
+                         FixtureTestName);
+
+// The XAR1 parser's hardening, on real legacy bytes: every single-byte
+// flip of a committed fixture fails the open with kDataLoss (header bytes
+// by the header CRC or magic, section bytes by their section CRC), every
+// truncation fails, and a version field patched under a valid header CRC
+// is rejected by the version check.
+TEST_P(Xar1FixtureTest, EveryFlippedByteFailsWithDataLoss) {
+  const std::string good = ReadAll(FixturePath(GetParam()));
+  ASSERT_EQ(good.substr(0, 4), "XAR1");
+  for (size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x20);
+    auto opened = StoreRegistry::Global().OpenFromBytes(bad);
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+        << "flip at byte " << i << ": " << opened.status().ToString();
+  }
+}
+
+TEST_P(Xar1FixtureTest, EveryTruncationFails) {
+  const std::string good = ReadAll(FixturePath(GetParam()));
+  ASSERT_EQ(good.substr(0, 4), "XAR1");
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    auto opened = StoreRegistry::Global().OpenFromBytes(good.substr(0, cut));
+    EXPECT_FALSE(opened.ok()) << "cut at " << cut;
+  }
+}
+
+TEST_P(Xar1FixtureTest, PatchedVersionIsRejected) {
+  std::string bytes = ReadAll(FixturePath(GetParam()));
+  ASSERT_EQ(bytes.substr(0, 4), "XAR1");
+  bytes[4] = 99;  // format version field
+  // XAR1's header CRC covers the first 12 bytes and sits at offset 12;
+  // rewrite it so the version check itself is what fails.
+  uint32_t crc = persist::MaskCrc(persist::Crc32c(bytes.substr(0, 12)));
+  for (int i = 0; i < 4; ++i) {
+    bytes[12 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  auto opened = StoreRegistry::Global().OpenFromBytes(bytes);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(opened.status().message().find("version"), std::string::npos)
+      << opened.status().ToString();
+}
 
 // ----------------------------------------------- XAR1 -> XAR2 migration
 
-// Archive backends read XAR1 but write only XAR2: a store opened from a
+// Every backend reads XAR1 but writes only XAR2: a store opened from a
 // committed XAR1 fixture, appended to and saved, comes back as XAR2 and,
-// reopened through mmap, answers every read like a live heap store that
-// ingested the same five versions.
+// reopened through mmap, answers every read like a live store that
+// ingested the same five versions. A query the backend cannot answer must
+// fail the same way on both.
 class Xar2FormatTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(Xar2FormatTest, Xar1FixtureSavesAsXar2AfterAppend) {
   const std::string& backend = GetParam();
-  const std::string fixture =
-      std::string(XARCH_TEST_DATA_DIR) + "/xar1_" + backend + ".xar";
+  const std::string fixture = FixturePath(backend);
   ASSERT_EQ(ReadAll(fixture).substr(0, 4), "XAR1") << fixture;
   auto opened = StoreRegistry::Open(fixture);
   ASSERT_TRUE(opened.ok()) << fixture << ": " << opened.status().ToString();
@@ -393,19 +448,14 @@ TEST_P(Xar2FormatTest, Xar1FixtureSavesAsXar2AfterAppend) {
        }) {
     auto a = RunQuery(*live, q);
     auto b = RunQuery(mapped, q);
-    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
-    EXPECT_EQ(*a, *b) << q;
+    ASSERT_EQ(a.status().ToString(), b.status().ToString()) << q;
+    if (a.ok()) EXPECT_EQ(*a, *b) << q;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ArchiveFixtures, Xar2FormatTest,
-    ::testing::Values("archive", "archive-weave"),
-    [](const auto& info) {
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2FormatTest,
+                         ::testing::ValuesIn(kFixtureBackends),
+                         FixtureTestName);
 
 // -------------------------------------------------- corruption sweeps
 
