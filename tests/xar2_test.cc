@@ -383,6 +383,58 @@ TEST_P(Xar1FixtureTest, EveryTruncationFails) {
   }
 }
 
+// XAR1 sections are checksummed at open but LZSS payloads decompress only
+// when a restorer reads them. A payload that passes its CRC yet decodes to
+// the wrong length must still fail the open, so every restorer must read
+// every section it was written with. Each LZSS section of each fixture
+// gets its declared raw length bumped under a recomputed section CRC.
+TEST(Xar1FixtureSweepTest, EveryLzssSectionIsDecodedAtOpen) {
+  auto u32_at = [](const std::string& b, size_t at) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(b[at + i])) << (8 * i);
+    }
+    return v;
+  };
+  auto u64_at = [&](const std::string& b, size_t at) {
+    return static_cast<uint64_t>(u32_at(b, at)) |
+           (static_cast<uint64_t>(u32_at(b, at + 4)) << 32);
+  };
+  size_t patched = 0;
+  for (const std::string& backend : kFixtureBackends) {
+    const std::string good = ReadAll(FixturePath(backend));
+    ASSERT_EQ(good.substr(0, 4), "XAR1");
+    const uint32_t count = u32_at(good, 8);
+    size_t at = 16;
+    for (uint32_t s = 0; s < count; ++s) {
+      const size_t start = at;
+      const uint32_t name_len = u32_at(good, at);
+      const std::string name = good.substr(at + 4, name_len);
+      const size_t flags_at = at + 4 + name_len;
+      const uint64_t stored_len = u64_at(good, flags_at + 9);
+      const size_t crc_at = flags_at + 17 + stored_len;
+      ASSERT_LE(crc_at + 4, good.size()) << backend;
+      if (good[flags_at] & 1) {
+        std::string bad = good;
+        bad[flags_at + 1] = static_cast<char>(bad[flags_at + 1] + 1);
+        const uint32_t crc = persist::MaskCrc(
+            persist::Crc32c(std::string_view(bad).substr(start, crc_at - start)));
+        for (int i = 0; i < 4; ++i) {
+          bad[crc_at + i] = static_cast<char>(crc >> (8 * i));
+        }
+        auto opened = StoreRegistry::Global().OpenFromBytes(bad);
+        EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+            << backend << " section " << name << ": "
+            << opened.status().ToString();
+        ++patched;
+      }
+      at = crc_at + 4;
+    }
+    EXPECT_EQ(at, good.size()) << backend;
+  }
+  EXPECT_GT(patched, 0u);
+}
+
 TEST_P(Xar1FixtureTest, PatchedVersionIsRejected) {
   std::string bytes = ReadAll(FixturePath(GetParam()));
   ASSERT_EQ(bytes.substr(0, 4), "XAR1");
