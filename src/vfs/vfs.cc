@@ -28,6 +28,12 @@ StatusOr<std::string> Vfs::ReadFile(const std::string& path) {
   XARCH_ASSIGN_OR_RETURN(std::unique_ptr<ReadableFile> file,
                          OpenReadable(path));
   std::string out;
+  // Sized up front, so the result's capacity matches the file: a durable
+  // store keeps this buffer as its mapped snapshot. The size is only a
+  // hint; the loop below reads to end of file either way.
+  if (auto size = FileSize(path); size.ok()) {
+    out.reserve(static_cast<size_t>(*size));
+  }
   char buf[1 << 16];
   for (;;) {
     XARCH_ASSIGN_OR_RETURN(size_t n, file->Read(buf, sizeof buf));

@@ -67,8 +67,9 @@ StatusOr<std::unique_ptr<Store>> StoreRegistry::OpenFromFile(
 
 StatusOr<std::unique_ptr<Store>> StoreRegistry::OpenFromBytes(
     std::string bytes, StoreOptions tuning) const {
-  XARCH_ASSIGN_OR_RETURN(persist::SnapshotView snapshot,
-                         persist::SnapshotView::OpenFromBytes(std::move(bytes)));
+  XARCH_ASSIGN_OR_RETURN(
+      persist::SnapshotView snapshot,
+      persist::SnapshotView::OpenFromBytes(std::move(bytes)));
   return Restore(snapshot, std::move(tuning));
 }
 

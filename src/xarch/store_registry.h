@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -99,8 +98,8 @@ class StoreRegistry {
 
   /// Dispatches a parsed snapshot to the restorer registered under its
   /// "backend" section.
-  StatusOr<std::unique_ptr<Store>> Restore(const persist::SnapshotView& snapshot,
-                                           StoreOptions tuning = {}) const;
+  StatusOr<std::unique_ptr<Store>> Restore(
+      const persist::SnapshotView& snapshot, StoreOptions tuning = {}) const;
 
   /// Convenience: Global().OpenFromFile(...).
   static StatusOr<std::unique_ptr<Store>> Open(const std::string& path,

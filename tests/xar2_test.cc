@@ -417,8 +417,9 @@ TEST(Xar1FixtureSweepTest, EveryLzssSectionIsDecodedAtOpen) {
       if (good[flags_at] & 1) {
         std::string bad = good;
         bad[flags_at + 1] = static_cast<char>(bad[flags_at + 1] + 1);
-        const uint32_t crc = persist::MaskCrc(
-            persist::Crc32c(std::string_view(bad).substr(start, crc_at - start)));
+        const std::string_view covered =
+            std::string_view(bad).substr(start, crc_at - start);
+        const uint32_t crc = persist::MaskCrc(persist::Crc32c(covered));
         for (int i = 0; i < 4; ++i) {
           bad[crc_at + i] = static_cast<char>(crc >> (8 * i));
         }
