@@ -190,6 +190,7 @@ class Archive {
  private:
   friend class NestedMerger;
   friend class MultiNestedMerger;
+  friend class FlatArchive;  // Decode sets the version count
 
   keys::KeySpecSet spec_;
   ArchiveOptions options_;

@@ -4,70 +4,84 @@ namespace xarch::core {
 
 namespace {
 
+/// One walk over any ArchiveView: membership of the two versions is
+/// tracked as two booleans down the hierarchy (allocation-free stamp
+/// tests), and a path is rendered only for a node that is reported.
 class ChangeCollector {
  public:
-  ChangeCollector(Version from, Version to) : from_(from), to_(to) {}
+  ChangeCollector(const ArchiveView& view, Version from, Version to)
+      : view_(view), from_(from), to_(to) {}
 
-  void Walk(const ArchiveNode& node, const VersionSet& parent_effective,
-            const std::string& parent_path) {
-    const VersionSet& effective = node.EffectiveStamp(parent_effective);
-    bool at_from = effective.Contains(from_);
-    bool at_to = effective.Contains(to_);
+  void Walk(ArchiveView::NodeId node, bool parent_at_from,
+            bool parent_at_to) {
+    const bool stamped = view_.HasStamp(node);
+    const bool at_from =
+        stamped ? view_.StampContains(node, from_) : parent_at_from;
+    const bool at_to = stamped ? view_.StampContains(node, to_) : parent_at_to;
     if (!at_from && !at_to) return;
-    std::string path = parent_path + "/" + node.label.ToString();
+    ancestors_.push_back(node);
     if (at_from != at_to) {
       // Appeared or disappeared: report the element once, outermost.
-      changes_.push_back(
-          Change{at_to ? Change::Kind::kInserted : Change::Kind::kDeleted,
-                 path});
-      return;
-    }
-    // Present in both versions: look for content changes below.
-    if (node.is_frontier) {
-      if (FrontierContentDiffers(node)) {
-        changes_.push_back(Change{Change::Kind::kContentChanged, path});
+      Report(at_to ? Change::Kind::kInserted : Change::Kind::kDeleted);
+    } else if (view_.IsFrontier(node)) {
+      // Present in both versions: content differs iff some bucket is
+      // active at exactly one of them. (Unstamped buckets are active
+      // whenever the node is, hence at both here.)
+      for (size_t b = 0; b < view_.BucketCount(node); ++b) {
+        if (view_.BucketHasStamp(node, b) &&
+            view_.BucketStampContains(node, b, from_) !=
+                view_.BucketStampContains(node, b, to_)) {
+          Report(Change::Kind::kContentChanged);
+          break;
+        }
       }
-      return;
+    } else {
+      for (size_t c = 0; c < view_.ChildCount(node); ++c) {
+        Walk(view_.Child(node, c), at_from, at_to);
+      }
     }
-    for (const auto& child : node.children) {
-      Walk(*child, effective, path);
-    }
+    ancestors_.pop_back();
   }
 
   std::vector<Change> Take() { return std::move(changes_); }
 
  private:
-  bool FrontierContentDiffers(const ArchiveNode& node) const {
-    // Content differs iff some bucket is active at exactly one of the two
-    // versions. (Unstamped buckets are active whenever the node is, hence
-    // active at both here.)
-    for (const auto& bucket : node.buckets) {
-      if (!bucket.stamp.has_value()) continue;
-      if (bucket.stamp->Contains(from_) != bucket.stamp->Contains(to_)) {
-        return true;
-      }
+  void Report(Change::Kind kind) {
+    std::string path;
+    for (ArchiveView::NodeId n : ancestors_) {
+      path += '/';
+      path += view_.LabelString(n);
     }
-    return false;
+    changes_.push_back(Change{kind, std::move(path)});
   }
 
+  const ArchiveView& view_;
   Version from_, to_;
+  std::vector<ArchiveView::NodeId> ancestors_;  // root's child .. current
   std::vector<Change> changes_;
 };
 
 }  // namespace
 
-StatusOr<std::vector<Change>> DescribeChanges(const Archive& archive,
+StatusOr<std::vector<Change>> DescribeChanges(const ArchiveView& view,
                                               Version from, Version to) {
-  if (from == 0 || to == 0 || from > archive.version_count() ||
-      to > archive.version_count()) {
+  if (from == 0 || to == 0 || from > view.version_count() ||
+      to > view.version_count()) {
     return Status::InvalidArgument(
-        "versions must be in 1-" + std::to_string(archive.version_count()));
+        "versions must be in 1-" + std::to_string(view.version_count()));
   }
-  ChangeCollector collector(from, to);
-  for (const auto& child : archive.root().children) {
-    collector.Walk(*child, *archive.root().stamp, "");
+  ChangeCollector collector(view, from, to);
+  const ArchiveView::NodeId root = view.Root();
+  for (size_t c = 0; c < view.ChildCount(root); ++c) {
+    collector.Walk(view.Child(root, c), view.StampContains(root, from),
+                   view.StampContains(root, to));
   }
   return collector.Take();
+}
+
+StatusOr<std::vector<Change>> DescribeChanges(const Archive& archive,
+                                              Version from, Version to) {
+  return DescribeChanges(HeapArchiveView(&archive), from, to);
 }
 
 std::string FormatChanges(const std::vector<Change>& changes) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/archive.h"
+#include "core/tree_view.h"
 
 namespace xarch::core {
 
@@ -31,7 +32,9 @@ struct Change {
 /// Describes the difference between two archived versions as key-based
 /// changes, grouped by element (not by line). Reported paths are the
 /// outermost changed elements: an inserted subtree is one insertion, not
-/// one per descendant.
+/// one per descendant. One walk over any ArchiveView, heap or mapped.
+StatusOr<std::vector<Change>> DescribeChanges(const ArchiveView& view,
+                                              Version from, Version to);
 StatusOr<std::vector<Change>> DescribeChanges(const Archive& archive,
                                               Version from, Version to);
 

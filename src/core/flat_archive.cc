@@ -1,6 +1,7 @@
 #include "core/flat_archive.h"
 
 #include <cstring>
+#include <map>
 
 namespace xarch::core {
 
@@ -33,6 +34,17 @@ void PutU64(std::string* out, uint64_t v) {
 Status Bad(const char* what) {
   return Status::DataLoss(std::string("snapshot flat archive ") + what);
 }
+
+/// Claims the next `count` records of a `limit`-record table: a non-empty
+/// range must start where the previous claim ended and stay in bounds.
+bool Claim(uint64_t begin, uint64_t count, uint64_t limit, uint64_t* next) {
+  if (count == 0) return true;
+  if (begin != *next || begin + count > limit) return false;
+  *next += count;
+  return true;
+}
+
+constexpr const char* kOutOfOrder = "records are not in encoder order";
 
 // Splits a "u32 count | records" section into its record payload, checking
 // the exact size. Record math is u64 so huge counts cannot wrap.
@@ -125,7 +137,8 @@ StatusOr<FlatArchive> FlatArchive::Attach(const Sections& sections) {
   XARCH_RETURN_NOT_OK(a.AttachStrings(sections.strings));
   XARCH_RETURN_NOT_OK(a.AttachStamps(sections.stamps));
 
-  uint32_t node_count, part_count, attr_count, bucket_count, content_count;
+  uint32_t node_count = 0, part_count = 0, attr_count = 0, bucket_count = 0,
+           content_count = 0;
   XARCH_RETURN_NOT_OK(SplitRecords(sections.nodes, 4ull * kNodeFields,
                                    "node records are corrupt", &node_count,
                                    &a.nodes_));
@@ -161,57 +174,70 @@ StatusOr<FlatArchive> FlatArchive::Attach(const Sections& sections) {
   }
   for (uint32_t i = 0; i < content_count; ++i) {
     const uint32_t flags = a.ContentField(i, kContentFlags);
-    if ((flags & ~kFlagText) != 0) return Bad("content records are corrupt");
-    if (a.ContentField(i, kContentSid) >= a.string_count_) {
+    if ((flags & ~kFlagText) != 0 ||
+        a.ContentField(i, kContentSid) >= a.string_count_ ||
+        ((flags & kFlagText) != 0 &&
+         (a.ContentField(i, kContentAttrCount) != 0 ||
+          a.ContentField(i, kContentChildCount) != 0))) {
       return Bad("content records are corrupt");
     }
-    const uint64_t ab = a.ContentField(i, kContentAttrBegin);
-    const uint64_t ac = a.ContentField(i, kContentAttrCount);
-    const uint64_t cb = a.ContentField(i, kContentChildBegin);
-    const uint64_t cc = a.ContentField(i, kContentChildCount);
-    if (ab + ac > attr_count || cb + cc > content_count) {
-      return Bad("content records are corrupt");
-    }
-    if ((flags & kFlagText) != 0 && (ac != 0 || cc != 0)) {
-      return Bad("content records are corrupt");
-    }
-    // Children strictly after the parent: navigation terminates.
-    if (cc != 0 && cb <= i) return Bad("content records are corrupt");
   }
   for (uint32_t i = 0; i < bucket_count; ++i) {
     if (a.BucketStampIdPlus1(i) > a.stamp_count_) {
       return Bad("bucket table is corrupt");
     }
-    const uint64_t cb = a.BucketContentBegin(i);
-    const uint64_t cc = a.BucketContentCount(i);
-    if (cb + cc > content_count) return Bad("bucket table is corrupt");
   }
   if (node_count == 0) return Bad("node records are corrupt");
+  // Every range must claim the next records of its table in the order the
+  // encoder wrote them, and together they must claim every record. So the
+  // records form one tree, each reached exactly once, and every range is
+  // in bounds.
+  uint64_t next_node = 1, next_part = 0, next_attr = 0, next_bucket = 0,
+           next_content = 0;
   for (uint32_t i = 0; i < node_count; ++i) {
-    if (a.NodeField(i, kNodeTagSid) >= a.string_count_ ||
-        a.NodeField(i, kNodeStampIdPlus1) > a.stamp_count_) {
-      return Bad("node records are corrupt");
-    }
     const uint32_t flags = a.NodeField(i, kNodeFlags);
-    if ((flags & ~kFlagFrontier) != 0) return Bad("node records are corrupt");
-    const uint64_t pb = a.NodeField(i, kNodePartBegin);
-    const uint64_t pc = a.NodeField(i, kNodePartCount);
-    const uint64_t ab = a.NodeField(i, kNodeAttrBegin);
-    const uint64_t ac = a.NodeField(i, kNodeAttrCount);
-    const uint64_t cb = a.NodeField(i, kNodeChildBegin);
-    const uint64_t cc = a.NodeField(i, kNodeChildCount);
-    const uint64_t bb = a.NodeField(i, kNodeBucketBegin);
-    const uint64_t bc = a.NodeField(i, kNodeBucketCount);
-    if (pb + pc > part_count || ab + ac > attr_count ||
-        cb + cc > node_count || bb + bc > bucket_count) {
+    const uint32_t cc = a.NodeField(i, kNodeChildCount);
+    const uint32_t bb = a.NodeField(i, kNodeBucketBegin);
+    const uint32_t bc = a.NodeField(i, kNodeBucketCount);
+    if (a.NodeField(i, kNodeTagSid) >= a.string_count_ ||
+        a.NodeField(i, kNodeStampIdPlus1) > a.stamp_count_ ||
+        (flags & ~kFlagFrontier) != 0 ||
+        ((flags & kFlagFrontier) != 0 ? cc != 0 : bc != 0)) {
       return Bad("node records are corrupt");
     }
-    if (cc != 0 && cb <= i) return Bad("node records are corrupt");
-    if ((flags & kFlagFrontier) != 0) {
-      if (cc != 0) return Bad("node records are corrupt");
-    } else if (bc != 0) {
-      return Bad("node records are corrupt");
+    if (i >= next_node ||
+        !Claim(a.NodeField(i, kNodePartBegin), a.NodeField(i, kNodePartCount),
+               part_count, &next_part) ||
+        !Claim(a.NodeField(i, kNodeAttrBegin), a.NodeField(i, kNodeAttrCount),
+               attr_count, &next_attr) ||
+        !Claim(a.NodeField(i, kNodeChildBegin), cc, node_count, &next_node) ||
+        !Claim(bb, bc, bucket_count, &next_bucket)) {
+      return Bad(kOutOfOrder);
     }
+    for (uint32_t b = bb; b < bb + bc; ++b) {
+      // A bucket's content forest: its roots, then each element's
+      // children at the forest's tail (breadth-first).
+      const uint64_t forest = next_content;
+      if (!Claim(a.BucketContentBegin(b), a.BucketContentCount(b),
+                 content_count, &next_content)) {
+        return Bad(kOutOfOrder);
+      }
+      for (uint64_t j = forest; j < next_content; ++j) {
+        if (!Claim(a.ContentField(j, kContentAttrBegin),
+                   a.ContentField(j, kContentAttrCount), attr_count,
+                   &next_attr) ||
+            !Claim(a.ContentField(j, kContentChildBegin),
+                   a.ContentField(j, kContentChildCount), content_count,
+                   &next_content)) {
+          return Bad(kOutOfOrder);
+        }
+      }
+    }
+  }
+  if (next_node != node_count || next_part != part_count ||
+      next_attr != attr_count || next_bucket != bucket_count ||
+      next_content != content_count) {
+    return Bad(kOutOfOrder);
   }
   // The virtual root always carries its own timestamp (1..version_count);
   // every inheritance chain must bottom out there.
@@ -290,6 +316,93 @@ VersionSet FlatArchive::StampAt(uint32_t stamp_id) const {
                                        LoadU32(stamp_pairs_, 8ull * p + 4)));
   }
   return out;
+}
+
+// --------------------------------------------------------------- decoder
+
+namespace {
+
+/// Builds content record `j` and its subtree.
+xml::NodePtr DecodeContent(const FlatContentSource& source, uint64_t j) {
+  if (source.IsText(j)) return xml::Node::Text(std::string(source.Text(j)));
+  xml::NodePtr elem = xml::Node::Element(std::string(source.Tag(j)));
+  for (size_t k = 0; k < source.AttrCount(j); ++k) {
+    elem->SetAttr(source.Attr(j, k).first, source.Attr(j, k).second);
+  }
+  for (size_t k = 0; k < source.ChildCount(j); ++k) {
+    elem->AddChild(DecodeContent(source, source.Child(j, k)));
+  }
+  return elem;
+}
+
+}  // namespace
+
+StatusOr<Archive> FlatArchive::Decode(keys::KeySpecSet spec,
+                                      ArchiveOptions options) const {
+  Archive archive(std::move(spec), options);
+  archive.count_ = version_count_;
+  const FlatArchiveView view(this);
+  const FlatContentSource source(this);
+  // Tag paths met so far, one per (parent path, tag); 0 is the root's.
+  struct TagPath {
+    std::vector<std::string> steps;
+    bool frontier;
+  };
+  std::vector<TagPath> paths = {{{}, false}};
+  std::map<std::pair<uint32_t, std::string_view>, uint32_t> path_ids;
+  // Attach checked the breadth-first layout, so every node is created by
+  // its parent before the loop reaches it.
+  std::vector<ArchiveNode*> nodes(node_count());
+  std::vector<uint32_t> node_path(node_count());
+  nodes[0] = &archive.mutable_root();
+  for (uint32_t i = 0; i < node_count(); ++i) {
+    ArchiveNode& node = *nodes[i];
+    node.is_frontier = view.IsFrontier(i);
+    if (node.is_frontier != paths[node_path[i]].frontier) {
+      return Bad("frontier flag contradicts the key specification");
+    }
+    node.label.tag = std::string(view.Tag(i));
+    for (size_t p = 0; p < view.LabelPartCount(i); ++p) {
+      const auto [path, value] = view.LabelPart(i, p);
+      node.label.parts.push_back({std::string(path), std::string(value)});
+    }
+    node.label.ComputeFingerprint(archive.options().annotate.fingerprint_bits);
+    if (view.HasStamp(i)) node.stamp = view.StampValue(i);
+    for (size_t k = 0; k < view.AttrCount(i); ++k) {
+      node.attrs.emplace_back(view.Attr(i, k));
+    }
+    for (size_t k = 0; k < view.ChildCount(i); ++k) {
+      const uint32_t child = static_cast<uint32_t>(view.Child(i, k));
+      const auto [it, fresh] = path_ids.try_emplace(
+          {node_path[i], view.Tag(child)}, static_cast<uint32_t>(paths.size()));
+      if (fresh) {
+        TagPath path{paths[node_path[i]].steps, false};
+        path.steps.emplace_back(view.Tag(child));
+        if (archive.spec().Lookup(path.steps) == nullptr) {
+          return Bad("node tag path is not covered by the key specification");
+        }
+        path.frontier = archive.spec().IsFrontier(path.steps);
+        paths.push_back(std::move(path));
+      }
+      node_path[child] = it->second;
+      nodes[child] = node.children.emplace_back(new ArchiveNode).get();
+    }
+    for (uint32_t b = NodeField(i, kNodeBucketBegin);
+         b < NodeField(i, kNodeBucketBegin) + view.BucketCount(i); ++b) {
+      ArchiveNode::Bucket& bucket = node.buckets.emplace_back();
+      if (BucketStampIdPlus1(b) != 0) {
+        bucket.stamp = StampAt(BucketStampIdPlus1(b) - 1);
+      }
+      for (uint32_t k = 0; k < BucketContentCount(b); ++k) {
+        bucket.content.push_back(
+            DecodeContent(source, BucketContentBegin(b) + k));
+      }
+    }
+  }
+  if (Status check = archive.Check(); !check.ok()) {
+    return Status::DataLoss("snapshot flat archive " + check.message());
+  }
+  return archive;
 }
 
 // ----------------------------------------------------------------- view

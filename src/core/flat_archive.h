@@ -109,6 +109,16 @@ class FlatArchive {
   /// Materializes a pooled timestamp.
   VersionSet StampAt(uint32_t stamp_id) const;
 
+  /// Rebuilds the heap Archive the records encode — the inverse of
+  /// FlatArchiveEncoder. Labels come from the stored key parts, with
+  /// fingerprints recomputed at `options.annotate.fingerprint_bits`.
+  /// Records must sit in the encoder's breadth-first order (so each is
+  /// decoded once), every node's tag path must be keyed by `spec` with
+  /// the spec's frontier flag, and the result must pass Archive::Check().
+  /// Any violation is kDataLoss.
+  StatusOr<Archive> Decode(keys::KeySpecSet spec,
+                           ArchiveOptions options) const;
+
  private:
   Status AttachStrings(std::string_view section);
   Status AttachStamps(std::string_view section);

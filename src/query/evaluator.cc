@@ -166,11 +166,10 @@ struct NodeMatch {
 class ArchiveEvaluator {
  public:
   ArchiveEvaluator(const core::ArchiveView& view,
-                   const index::ViewIndex* index, const ArchiveDiffFn& diff,
-                   Sink& sink, EvalResult& result, const EvalOptions& options)
+                   const index::ViewIndex* index, Sink& sink,
+                   EvalResult& result, const EvalOptions& options)
       : view_(view),
         index_(index),
-        diff_(diff),
         sink_(sink),
         result_(result),
         options_(options) {}
@@ -184,12 +183,9 @@ class ArchiveEvaluator {
       // hierarchy once and the query path filters its output, so absent
       // paths yield an empty change list, exactly as on generic plans.
       obs::ScopedSpan span(options_.trace, "diff", eval_span_);
-      if (!diff_) {
-        return Status::Unimplemented(
-            "diff queries are not available on this archive view");
-      }
-      XARCH_ASSIGN_OR_RETURN(std::vector<core::Change> changes,
-                             diff_(ast.temporal.from, ast.temporal.to));
+      XARCH_ASSIGN_OR_RETURN(
+          std::vector<core::Change> changes,
+          core::DescribeChanges(view_, ast.temporal.from, ast.temporal.to));
       XARCH_RETURN_NOT_OK(
           EmitFilteredChanges(changes, ast.steps, sink_, &result_));
       span.Note("changes", result_.matches);
@@ -451,7 +447,6 @@ class ArchiveEvaluator {
 
   const core::ArchiveView& view_;
   const index::ViewIndex* index_;
-  const ArchiveDiffFn& diff_;
   Sink& sink_;
   EvalResult& result_;
   const EvalOptions& options_;
@@ -731,21 +726,17 @@ class StoreEvaluator {
 Status Evaluate(const Plan& plan, const core::Archive& archive,
                 const index::ArchiveIndex* index, Sink& sink,
                 EvalResult* result, const EvalOptions& options) {
-  core::HeapArchiveView view(&archive);
-  ArchiveDiffFn diff = [&archive](Version from, Version to) {
-    return core::DescribeChanges(archive, from, to);
-  };
-  return EvaluateView(plan, view, index, diff, sink, result, options);
+  return EvaluateView(plan, core::HeapArchiveView(&archive), index, sink,
+                      result, options);
 }
 
 Status EvaluateView(const Plan& plan, const core::ArchiveView& view,
-                    const index::ViewIndex* index, const ArchiveDiffFn& diff,
-                    Sink& sink, EvalResult* result,
-                    const EvalOptions& options) {
+                    const index::ViewIndex* index, Sink& sink,
+                    EvalResult* result, const EvalOptions& options) {
   EvalResult local;
   EvalResult& r = result != nullptr ? *result : local;
   r.mapped = view.mapped();
-  ArchiveEvaluator evaluator(view, index, diff, sink, r, options);
+  ArchiveEvaluator evaluator(view, index, sink, r, options);
   const uint64_t start_us = obs::MonotonicMicros();
   Status status = evaluator.Run(plan);
   RecordQueryMetrics(plan.access, r, obs::MonotonicMicros() - start_us);

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/archive.h"
@@ -83,23 +82,15 @@ Status Evaluate(const Plan& plan, const core::Archive& archive,
                 const index::ArchiveIndex* index, Sink& sink,
                 EvalResult* result, const EvalOptions& options = {});
 
-/// Change-list provider for `@ diff` on view evaluations: core::
-/// DescribeChanges over the heap archive (which a store backed by a mapped
-/// snapshot materializes once, on first use). Null-valued = diff
-/// unsupported.
-using ArchiveDiffFn =
-    std::function<StatusOr<std::vector<core::Change>>(Version from,
-                                                      Version to)>;
-
 /// The archive-plan evaluator over any ArchiveView — the one
 /// implementation behind Evaluate(). The archive store calls it directly
 /// with its current view and index (FlatArchiveView + FlatViewIndex while
 /// backed by a mapped snapshot, HeapArchiveView + ArchiveIndex after),
-/// producing identical bytes and probe counts either way.
+/// producing identical bytes and probe counts either way; `@ diff` runs
+/// core::DescribeChanges over the same view.
 Status EvaluateView(const Plan& plan, const core::ArchiveView& view,
-                    const index::ViewIndex* index, const ArchiveDiffFn& diff,
-                    Sink& sink, EvalResult* result,
-                    const EvalOptions& options = {});
+                    const index::ViewIndex* index, Sink& sink,
+                    EvalResult* result, const EvalOptions& options = {});
 
 /// \brief Interface-level evaluation through Store primitives (the
 /// kGeneric plan): snapshots via Retrieve() + parse + navigate, history

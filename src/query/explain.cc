@@ -62,13 +62,12 @@ std::string FormatExplain(const Plan& plan, const EvalResult& result,
 }
 
 Status ExplainView(const Plan& plan, const core::ArchiveView& view,
-                   const index::ViewIndex* index, const ArchiveDiffFn& diff,
-                   Sink& sink, EvalResult* result, const EvalOptions& options) {
+                   const index::ViewIndex* index, Sink& sink,
+                   EvalResult* result, const EvalOptions& options) {
   EvalResult local;
   EvalResult& r = result != nullptr ? *result : local;
   CountingSink discard;
-  Status eval_status =
-      EvaluateView(plan, view, index, diff, discard, &r, options);
+  Status eval_status = EvaluateView(plan, view, index, discard, &r, options);
   return StreamReport(plan, r, eval_status, options.trace, sink);
 }
 

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cassert>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -314,17 +313,9 @@ Status DecodeArchiveOptions(persist::Cursor& cursor,
   return Status::OK();
 }
 
-/// Compact serialization used for archive snapshot sections (whitespace
-/// would only cost container bytes; the LZSS pass runs either way).
-std::string ArchiveXmlCompact(const core::Archive& archive) {
-  core::ArchiveSerializeOptions options;
-  options.pretty = false;
-  options.indent_width = 0;
-  return archive.ToXml(options);
-}
-
-/// Loads one archive XML snapshot section onto the heap, running the full
-/// structural Check so a snapshot that passed its CRCs but violates archive
+/// Loads one archive XML snapshot section onto the heap (XAR1 archive
+/// stores, checkpoint-archive segments), running the full structural
+/// Check so a snapshot that passed its CRCs but violates archive
 /// invariants is still rejected.
 StatusOr<core::Archive> ArchiveFromSection(
     const persist::SnapshotView& snapshot, const std::string& section,
@@ -403,15 +394,14 @@ StatusOr<ArchiveConfig> DecodeArchiveConfig(
 /// The paper's key-based archive (bucket or weave frontier) behind Store.
 ///
 /// Every read hook has one body over an ArchiveView plus an optional
-/// ViewIndex. A store opened from an XAR2 snapshot starts out backed by
-/// the mapping: the flat view and the persisted index pages, navigated in
-/// place, so open is O(mmap + checksum verify) and scans allocate no heap
-/// node. The heap archive is then materialized lazily, only for the
-/// operations that need it (diff walks, stored bytes, node counts). The
-/// first ingest materializes it for good and drops the mapping; from then
-/// on reads go through HeapArchiveView and the heap ArchiveIndex, which
-/// every ingest republishes. Stores created empty or restored from XAR1
-/// are heap-backed from the start.
+/// ViewIndex, and a store is in one of two states. Opened from an XAR2
+/// snapshot it is mapped: the flat view and the persisted index pages,
+/// navigated in place, so open is O(mmap + checksum verify) and no read
+/// (retrieve, history, query, diff) allocates a heap node. The first
+/// ingest decodes the heap archive from the flat records and drops the
+/// mapping; from then on reads go through HeapArchiveView and the heap
+/// ArchiveIndex, which every ingest republishes. Stores created empty or
+/// restored from XAR1 are on the heap from the start.
 class ArchiveStore final : public Store {
  public:
   /// The mapped state of a store opened from XAR2, until its first ingest.
@@ -427,7 +417,7 @@ class ArchiveStore final : public Store {
     core::FlatArchive flat;  // views into snapshot's bytes
     core::FlatArchiveView view;
     std::optional<index::FlatViewIndex> index;  // when the snapshot has one
-    ArchiveConfig config;  // to materialize the heap archive
+    ArchiveConfig config;  // to decode the heap archive
   };
 
   /// Heap-backed: a fresh archive, or one parsed from an XAR1 snapshot.
@@ -437,7 +427,7 @@ class ArchiveStore final : public Store {
       : name_(std::move(name)),
         use_index_(use_index),
         ingest_metrics_(MakeIngestMetrics(name_)),
-        archive_(std::make_unique<core::Archive>(std::move(archive))),
+        archive_(std::make_shared<core::Archive>(std::move(archive))),
         heap_view_(archive_.get()) {
     PublishIndex();
   }
@@ -565,8 +555,7 @@ class ArchiveStore final : public Store {
 
   StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
                                                        Version to) override {
-    XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
-    return core::DescribeChanges(*heap, from, to);
+    return core::DescribeChanges(View(), from, to);
   }
 
   Status QueryImpl(std::string_view query_text, Sink& sink,
@@ -591,17 +580,14 @@ class ArchiveStore final : public Store {
                                          ? query::Access::kArchiveIndexed
                                          : query::Access::kArchiveScan;
                             }));
-    query::ArchiveDiffFn diff = [this](Version from, Version to) {
-      return DiffVersionsImpl(from, to);
-    };
     query::EvalOptions eval_options;
     eval_options.pool = &util::ThreadPool::Shared();
     eval_options.trace = trace;
     query::EvalResult result;
     Status status = plan.ast.explain
-                        ? query::ExplainView(plan, View(), index, diff, sink,
+                        ? query::ExplainView(plan, View(), index, sink,
                                              &result, eval_options)
-                        : query::EvaluateView(plan, View(), index, diff, sink,
+                        : query::EvaluateView(plan, View(), index, sink,
                                               &result, eval_options);
     CountQuery(result);
     return status;
@@ -612,9 +598,9 @@ class ArchiveStore final : public Store {
   StoreStats BackendStats() const override {
     StoreStats stats;
     stats.versions = View().version_count();
-    stats.stored_bytes = StoredBytesImpl().size();
     auto heap = HeapArchive();
     if (heap.ok()) {
+      stats.stored_bytes = ArchiveBytes(**heap).size();
       stats.node_count = (*heap)->CountNodes();
       stats.merge_passes = (*heap)->merge_pass_count();
     }
@@ -622,13 +608,8 @@ class ArchiveStore final : public Store {
   }
 
   std::string StoredBytesImpl() const override {
-    // Indentation-free form: the archive nests two levels deeper than a
-    // version, so indentation would bias size comparisons against it.
     auto heap = HeapArchive();
-    if (!heap.ok()) return std::string();
-    core::ArchiveSerializeOptions options;
-    options.indent_width = 0;
-    return (*heap)->ToXml(options);
+    return heap.ok() ? ArchiveBytes(**heap) : std::string();
   }
 
   StatusOr<std::string> SnapshotBytesImpl() const override {
@@ -638,13 +619,11 @@ class ArchiveStore final : public Store {
     EncodeArchiveOptions(archive_->options(), &opts);
     persist::PutU8(use_index_ ? 1 : 0, &opts);
     persist::SnapshotWriter writer;
-    // The metadata and flat sections are stored raw so a mapped reader
-    // navigates them in place; only the archive XML (kept for heap
-    // materialization) is worth compressing.
+    // Every section is stored raw so a mapped reader navigates it in
+    // place; the flat records are the archive's only encoding.
     writer.AddRaw("backend", name_);
     writer.AddRaw("spec", archive_->spec().ToText());
     writer.AddRaw("opts", std::move(opts));
-    writer.Add("archive", ArchiveXmlCompact(*archive_));
     core::FlatArchiveEncoder encoder(*archive_);
     encoder.EncodeStructure();
     std::string index_pages;
@@ -679,31 +658,33 @@ class ArchiveStore final : public Store {
     return mapping_->index.has_value() ? &*mapping_->index : nullptr;
   }
 
-  /// The heap archive; while mapped, parsed from the snapshot's archive
-  /// XML on first use. Read hooks run under the SHARED store lock, so the
-  /// lazy build has its own mutex; the archive is never dropped.
-  StatusOr<const core::Archive*> HeapArchive() const {
-    if (mapping_ == nullptr) return archive_.get();
-    std::lock_guard<std::mutex> lock(heap_mu_);
-    if (archive_ == nullptr) {
-      XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec,
-                             mapping_->config.spec.Clone());
-      XARCH_ASSIGN_OR_RETURN(
-          core::Archive archive,
-          ArchiveFromSection(mapping_->snapshot, "archive", std::move(spec),
-                             mapping_->config.options));
-      archive_ = std::make_unique<core::Archive>(std::move(archive));
-    }
-    return archive_.get();
+  /// The heap archive: the live one, or while mapped a short-lived copy
+  /// decoded from the flat records.
+  StatusOr<std::shared_ptr<core::Archive>> HeapArchive() const {
+    if (mapping_ == nullptr) return archive_;
+    XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec,
+                           mapping_->config.spec.Clone());
+    XARCH_ASSIGN_OR_RETURN(
+        core::Archive heap,
+        mapping_->flat.Decode(std::move(spec), mapping_->config.options));
+    return std::make_shared<core::Archive>(std::move(heap));
   }
 
-  /// Writes stay heap: the first ingest into a mapped store materializes
-  /// the archive in place (reusing one a read already built), drops the
-  /// mapping, and publishes the heap index. Runs under the exclusive lock
-  /// every ingest holds, so no reader sees the switch.
+  /// Indentation-free form: the archive nests two levels deeper than a
+  /// version, so indentation would bias size comparisons against it.
+  static std::string ArchiveBytes(const core::Archive& archive) {
+    core::ArchiveSerializeOptions options;
+    options.indent_width = 0;
+    return archive.ToXml(options);
+  }
+
+  /// Writes stay heap: the first ingest into a mapped store decodes the
+  /// archive from the flat records, drops the mapping, and publishes the
+  /// heap index. Runs under the exclusive lock every ingest holds, so no
+  /// reader sees the switch; on a decode error the store stays mapped.
   Status Promote() {
     if (mapping_ == nullptr) return Status::OK();
-    XARCH_RETURN_NOT_OK(HeapArchive().status());
+    XARCH_ASSIGN_OR_RETURN(archive_, HeapArchive());
     mapping_.reset();
     heap_view_ = core::HeapArchiveView(archive_.get());
     PublishIndex();
@@ -721,10 +702,9 @@ class ArchiveStore final : public Store {
   std::string name_;
   bool use_index_;
   IngestMetrics ingest_metrics_;
-  std::unique_ptr<Mapping> mapping_;  // null once heap-backed
-  mutable std::mutex heap_mu_;        // guards archive_ while mapped
-  mutable std::unique_ptr<core::Archive> archive_;
-  core::HeapArchiveView heap_view_;              // over *archive_
+  std::unique_ptr<Mapping> mapping_;         // null once heap-backed
+  std::shared_ptr<core::Archive> archive_;  // null while mapped
+  core::HeapArchiveView heap_view_;         // over *archive_
   std::unique_ptr<index::ArchiveIndex> index_;  // published by ingest
 };
 
@@ -1090,9 +1070,12 @@ class CheckpointArchiveStore final : public Store {
     persist::PutU32(static_cast<uint32_t>(archive_.segments().size()), &opts);
     EncodeArchiveOptions(archive_.options(), &opts);
     writer.Add("opts", std::move(opts));
+    core::ArchiveSerializeOptions compact;
+    compact.pretty = false;
+    compact.indent_width = 0;
     for (size_t i = 0; i < archive_.segments().size(); ++i) {
       writer.Add("seg" + std::to_string(i),
-                 ArchiveXmlCompact(archive_.segments()[i]));
+                 archive_.segments()[i].ToXml(compact));
     }
     return Status::OK();
   }

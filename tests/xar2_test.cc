@@ -1,18 +1,24 @@
 // XAR2, the mmap-navigable snapshot container every backend writes:
 // heap-vs-mapped answer parity across the archive-family backends
 // (Retrieve, Query, History, Diff, EXPLAIN probe counts), ingest promotion
-// of a mapped store, the committed XAR1 fixtures under tests/data/ (one per
-// backend: byte-identical reads, migration to XAR2 on save, and the
-// flip-every-byte / truncate-everywhere / patched-version sweeps of the
-// legacy parser), and the same corruption sweeps over an XAR2 file
-// (kDataLoss, never an out-of-bounds read).
+// of a mapped store through the flat-record decoder, the committed XAR1
+// fixtures under tests/data/ (one per backend: byte-identical reads,
+// migration to XAR2 on save, and the flip-every-byte / truncate-everywhere
+// / patched-version sweeps of the legacy parser), the committed XAR2
+// fixtures that still carry the old `archive` XML section, the same
+// corruption sweeps over an XAR2 file (kDataLoss, never an out-of-bounds
+// read), and checksum-valid snapshots whose flat records break an archive
+// invariant (kDataLoss at the first decode).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -227,7 +233,7 @@ TEST_P(Xar2ParityTest, MappedAnswersMatchHeapByteForByte) {
     auto a = live->DiffVersions(1, 4);
     auto b = reopened.DiffVersions(1, 4);
     ASSERT_TRUE(a.ok() && b.ok()) << b.status().ToString();
-    ASSERT_EQ(a->size(), b->size());
+    EXPECT_EQ(core::FormatChanges(*a), core::FormatChanges(*b));
   }
 
   // EXPLAIN: the mapped evaluation reports mapped=true on its access line
@@ -245,6 +251,45 @@ TEST_P(Xar2ParityTest, MappedAnswersMatchHeapByteForByte) {
     stripped.erase(at, marker.size());
     EXPECT_EQ(stripped, *a);
   }
+}
+
+// The one change walk runs over the mapped view itself: `@ diff` and
+// DiffVersions answer every (from, to) pair byte-identically to the heap
+// store without constructing a single xml::Node, and the store stays
+// mapped (the re-save is the opened file).
+TEST_P(Xar2ParityTest, MappedDiffMatchesHeapForEveryPairWithoutNodes) {
+  const std::string& backend = std::get<0>(GetParam());
+  std::unique_ptr<Store> live = MakeLiveStore(backend, std::get<1>(GetParam()));
+  ScratchDir dir("diff");
+  const std::string path = dir.File("store.xar");
+  ASSERT_TRUE(live->SaveToFile(path).ok());
+  auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
+  Store& mapped = **mapped_or;
+  const Version n = live->version_count();
+  for (Version from = 0; from <= n + 1; ++from) {
+    for (Version to = 0; to <= n + 1; ++to) {
+      const std::string q =
+          "/db diff " + std::to_string(from) + " " + std::to_string(to);
+      auto a = RunQuery(*live, q);
+      auto want = live->DiffVersions(from, to);
+      const uint64_t nodes_before = xml::Node::CreatedCount();
+      auto b = RunQuery(mapped, q);
+      auto got = mapped.DiffVersions(from, to);
+      EXPECT_EQ(xml::Node::CreatedCount(), nodes_before) << q;
+      ASSERT_EQ(a.status().ToString(), b.status().ToString()) << q;
+      if (a.ok()) {
+        EXPECT_EQ(*a, *b) << q;
+      }
+      ASSERT_EQ(want.status().ToString(), got.status().ToString()) << q;
+      if (want.ok()) {
+        EXPECT_EQ(core::FormatChanges(*want), core::FormatChanges(*got)) << q;
+      }
+    }
+  }
+  auto resaved = mapped.SaveToBytes();
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(*resaved, ReadAll(path));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -294,6 +339,8 @@ TEST(Xar2PromotionTest, IngestIntoMappedStoreMaterializesOnce) {
   auto after = reopened.SaveToBytes();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->substr(0, 4), "XAR2");
+  ASSERT_TRUE(live->Append(v5).ok());
+  EXPECT_EQ(*after, *live->SaveToBytes());
   auto again = StoreRegistry::Global().OpenFromBytes(*after);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ((*again)->version_count(), 5u);
@@ -509,6 +556,207 @@ TEST_P(Xar2FormatTest, Xar1FixtureSavesAsXar2AfterAppend) {
 INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2FormatTest,
                          ::testing::ValuesIn(kFixtureBackends),
                          FixtureTestName);
+
+// ----------------------------- XAR2 fixtures with an `archive` section
+
+// Committed XAR2 files from builds that still wrote the compact archive
+// XML beside the flat records (tests/data/README.md). They open through
+// the same flat path as current files — the `archive` section is
+// checksummed and otherwise ignored — and the first Append builds the
+// heap archive from the flat records.
+class Xar2ArchiveSectionTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(Xar2ArchiveSectionTest, OpensMappedAndPromotesFromFlatRecords) {
+  const std::string& backend = GetParam();
+  const std::string path =
+      std::string(XARCH_TEST_DATA_DIR) + "/xar2_" + backend + ".xar";
+  auto view = persist::SnapshotView::OpenFromBytes(ReadAll(path));
+  ASSERT_TRUE(view.ok()) << path << ": " << view.status().ToString();
+  ASSERT_EQ(view->bytes().substr(0, 4), "XAR2");
+  ASSERT_TRUE(view->HasSection("archive")) << path;
+
+  auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
+  Store& mapped = **mapped_or;
+  std::unique_ptr<Store> live = MakeLiveStore(backend, /*use_index=*/true);
+  ASSERT_EQ(mapped.version_count(), live->version_count());
+  for (Version v = 1; v <= live->version_count(); ++v) {
+    EXPECT_EQ(*mapped.Retrieve(v), *live->Retrieve(v)) << "v" << v;
+  }
+  auto explained = RunQuery(mapped, "explain /db/entry[id=\"2\"] @ version 1");
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained->find("mapped=true"), std::string::npos) << *explained;
+  for (const char* q : {
+           "/db/entry[id=\"2\"] @ version 1",
+           "/db/entry[*] @ versions 1..4",
+           "/db/entry[id=\"2\"] history",
+           "/db diff 1 2",
+           "/db diff 2 4",
+       }) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(mapped, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << q;
+  }
+  const std::vector<core::KeyStep> entry3 = {{"db", {}},
+                                             {"entry", {{"id", "3"}}}};
+  EXPECT_EQ(mapped.History(entry3)->ToString(),
+            live->History(entry3)->ToString());
+  EXPECT_EQ(core::FormatChanges(*mapped.DiffVersions(1, 4)),
+            core::FormatChanges(*live->DiffVersions(1, 4)));
+
+  const std::string v5 =
+      Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
+  ASSERT_TRUE(mapped.Append(v5).ok());
+  ASSERT_TRUE(live->Append(v5).ok());
+  for (Version v = 1; v <= 5; ++v) {
+    EXPECT_EQ(*mapped.Retrieve(v), *live->Retrieve(v)) << "v" << v;
+  }
+  auto resaved = mapped.SaveToBytes();
+  ASSERT_TRUE(resaved.ok());
+  auto resaved_view = persist::SnapshotView::OpenFromBytes(*resaved);
+  ASSERT_TRUE(resaved_view.ok());
+  EXPECT_FALSE(resaved_view->HasSection("archive"));
+  EXPECT_EQ(*resaved, *live->SaveToBytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2ArchiveSectionTest,
+                         ::testing::Values("archive", "archive-weave"),
+                         FixtureTestName);
+
+// ------------------------------------------ flat-record decoder hardening
+
+using Sections = std::map<std::string, std::string>;
+
+uint32_t U32At(const std::string& bytes, size_t at) {
+  uint32_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void SetU32At(std::string* bytes, size_t at, uint32_t v) {
+  std::memcpy(&(*bytes)[at], &v, sizeof(v));
+}
+
+/// Byte offset of field `f` of node record `n` in the "nodes" section.
+size_t NodeField(uint32_t n, int f) { return 4 + 4 * (12 * n + f); }
+
+/// The sid of `text` in the "strings" section.
+uint32_t StringSid(const std::string& strings, const std::string& text) {
+  const uint32_t count = U32At(strings, 0);
+  const size_t blob = 4 + 4 * (count + 1);
+  for (uint32_t sid = 0; sid < count; ++sid) {
+    const uint32_t lo = U32At(strings, 4 + 4 * sid);
+    const uint32_t hi = U32At(strings, 8 + 4 * sid);
+    if (strings.compare(blob + lo, hi - lo, text) == 0) return sid;
+  }
+  ADD_FAILURE() << "no string " << text;
+  return 0;
+}
+
+/// A checksum-valid XAR2 snapshot of the fixture versions whose sections
+/// `patch` edited: every section is rewritten raw, as the archive writer
+/// stores them, so the container passes every CRC.
+std::string PatchedSnapshot(const std::function<void(Sections*)>& patch) {
+  std::unique_ptr<Store> live = MakeLiveStore("archive");
+  auto bytes = live->SaveToBytes();
+  EXPECT_TRUE(bytes.ok());
+  auto view = persist::SnapshotView::OpenFromBytes(*bytes);
+  EXPECT_TRUE(view.ok());
+  Sections sections;
+  for (const std::string& name : view->names()) {
+    sections[name] = *view->SectionString(name);
+  }
+  patch(&sections);
+  persist::SnapshotWriter writer;
+  for (const std::string& name : view->names()) {
+    writer.AddRaw(name, sections[name]);
+  }
+  return writer.Serialize();
+}
+
+// Each snapshot opens — the records are in bounds and in encoder order,
+// so mapped reads navigate them — but they encode no archive a merge
+// could produce. The first Append decodes them and fails with kDataLoss,
+// leaving the store mapped and unchanged; Stats() and StoredBytes() have
+// no status to return, so the failed decode shows as empty byte and node
+// counts.
+TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
+  const std::map<std::string, std::function<void(Sections*)>> cases = {
+      {"child stamp escapes its parent's",
+       [](Sections* s) {
+         std::string& nodes = (*s)["nodes"];
+         const uint32_t root_stamp = U32At(nodes, NodeField(0, 1));
+         for (uint32_t n = 1; n < U32At(nodes, 0); ++n) {
+           const uint32_t stamp = U32At(nodes, NodeField(n, 1));
+           if (stamp == 0 || stamp == root_stamp ||
+               U32At(nodes, NodeField(n, 7)) == 0) {
+             continue;
+           }
+           SetU32At(&nodes, NodeField(U32At(nodes, NodeField(n, 6)), 1),
+                    root_stamp);
+           return;
+         }
+         ADD_FAILURE() << "no stamped inner node";
+       }},
+      {"siblings out of label order",
+       [](Sections* s) {
+         // Swap the key values of db's first two entries.
+         const std::string& nodes = (*s)["nodes"];
+         const uint32_t db = U32At(nodes, NodeField(0, 6));
+         const uint32_t first = U32At(nodes, NodeField(db, 6));
+         ASSERT_GE(U32At(nodes, NodeField(db, 7)), 2u);
+         const size_t a = 4 + 8 * U32At(nodes, NodeField(first, 2)) + 4;
+         const size_t b = 4 + 8 * U32At(nodes, NodeField(first + 1, 2)) + 4;
+         std::string& parts = (*s)["parts"];
+         const uint32_t value_a = U32At(parts, a);
+         SetU32At(&parts, a, U32At(parts, b));
+         SetU32At(&parts, b, value_a);
+       }},
+      {"frontier flag contradicts the spec",
+       [](Sections* s) {
+         // With a key below <note>, note is no longer a frontier path.
+         (*s)["spec"] += "\n(/db/entry/note, (x, {}))\n";
+       }},
+      {"tag path not covered by the spec",
+       [](Sections* s) {
+         std::string& nodes = (*s)["nodes"];
+         const uint32_t note = StringSid((*s)["strings"], "note");
+         const uint32_t db = StringSid((*s)["strings"], "db");
+         for (uint32_t n = 0; n < U32At(nodes, 0); ++n) {
+           if (U32At(nodes, NodeField(n, 0)) == note) {
+             SetU32At(&nodes, NodeField(n, 0), db);  // /db/entry/db
+             return;
+           }
+         }
+         ADD_FAILURE() << "no note node";
+       }},
+  };
+  const std::string v5 =
+      Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
+  for (const auto& [what, patch] : cases) {
+    const std::string bytes = PatchedSnapshot(patch);
+    auto opened = StoreRegistry::Global().OpenFromBytes(bytes);
+    ASSERT_TRUE(opened.ok()) << what << ": " << opened.status().ToString();
+    Store& store = **opened;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      Status appended = store.Append(v5);
+      EXPECT_EQ(appended.code(), StatusCode::kDataLoss)
+          << what << ": " << appended.ToString();
+      const StoreStats stats = store.Stats();
+      EXPECT_EQ(stats.versions, 4u) << what;
+      EXPECT_EQ(stats.stored_bytes, 0u) << what;
+      EXPECT_EQ(stats.node_count, 0u) << what;
+      EXPECT_EQ(store.StoredBytes(), "") << what;
+    }
+    EXPECT_EQ(store.version_count(), 4u) << what;
+    auto resaved = store.SaveToBytes();
+    ASSERT_TRUE(resaved.ok()) << what;
+    EXPECT_EQ(*resaved, bytes) << what;
+    EXPECT_TRUE(store.Retrieve(1).ok()) << what;
+  }
+}
 
 // -------------------------------------------------- corruption sweeps
 
