@@ -39,8 +39,8 @@ namespace xarch::core {
 ///
 /// Node record 0 is the virtual root and always carries its own stamp.
 /// stamp ids are stored +1 so 0 can mean "inherits the parent's stamp".
-/// Child records always sit after their parent (child_begin > own index),
-/// which makes any navigation of validated records terminate.
+/// Records sit in the encoder's breadth-first order, so validated records
+/// form one tree: any navigation terminates and reaches each record once.
 class FlatArchive {
  public:
   // Node record fields (u32 each, 12 per record).
@@ -78,9 +78,10 @@ class FlatArchive {
   };
 
   /// Validates every structural invariant once — O(records), allocation-
-  /// free — and attaches. After an OK Attach all accessors are in-bounds
-  /// by construction; any inconsistency is kDataLoss here, never an OOB
-  /// read later.
+  /// free — and attaches: every range must claim the next records of its
+  /// table in encoder order. After an OK Attach all accessors are
+  /// in-bounds by construction; any inconsistency is kDataLoss here,
+  /// never an OOB read later.
   static StatusOr<FlatArchive> Attach(const Sections& sections);
 
   Version version_count() const { return version_count_; }
@@ -112,10 +113,9 @@ class FlatArchive {
   /// Rebuilds the heap Archive the records encode — the inverse of
   /// FlatArchiveEncoder. Labels come from the stored key parts, with
   /// fingerprints recomputed at `options.annotate.fingerprint_bits`.
-  /// Records must sit in the encoder's breadth-first order (so each is
-  /// decoded once), every node's tag path must be keyed by `spec` with
-  /// the spec's frontier flag, and the result must pass Archive::Check().
-  /// Any violation is kDataLoss.
+  /// Every node's tag path must be keyed by `spec` with the spec's
+  /// frontier flag, and the result must pass Archive::Check(); any
+  /// violation is kDataLoss.
   StatusOr<Archive> Decode(keys::KeySpecSet spec,
                            ArchiveOptions options) const;
 

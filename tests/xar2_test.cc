@@ -758,6 +758,43 @@ TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
   }
 }
 
+// Ranges that overlap or skip records would let two parents share one
+// subtree, so a navigation or a decode could visit it exponentially often:
+// a checksum-valid snapshot whose records leave the encoder's order fails
+// the open itself.
+TEST(Xar2DecoderHardeningTest, RecordsOutOfEncoderOrderFailTheOpen) {
+  const std::map<std::string, std::function<void(Sections*)>> cases = {
+      {"two entries share their children",
+       [](Sections* s) {
+         std::string& nodes = (*s)["nodes"];
+         const uint32_t db = U32At(nodes, NodeField(0, 6));
+         const uint32_t first = U32At(nodes, NodeField(db, 6));
+         SetU32At(&nodes, NodeField(first + 1, 6),
+                  U32At(nodes, NodeField(first, 6)));
+       }},
+      {"a content range restarts at the first record",
+       [](Sections* s) {
+         std::string& buckets = (*s)["buckets"];
+         SetU32At(&buckets, 4 + 12 * (U32At(buckets, 0) - 1) + 4, 0);
+       }},
+      {"a key-part record is never claimed",
+       [](Sections* s) {
+         std::string& parts = (*s)["parts"];
+         SetU32At(&parts, 0, U32At(parts, 0) + 1);
+         parts += parts.substr(4, 8);
+       }},
+  };
+  for (const auto& [what, patch] : cases) {
+    auto opened =
+        StoreRegistry::Global().OpenFromBytes(PatchedSnapshot(patch));
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+        << what << ": " << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find("encoder order"),
+              std::string::npos)
+        << what << ": " << opened.status().ToString();
+  }
+}
+
 // -------------------------------------------------- corruption sweeps
 
 std::string SavedXar2Snapshot(const std::string& path) {
