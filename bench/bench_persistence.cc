@@ -100,6 +100,13 @@ void Die(const Status& status, const char* what) {
   std::exit(1);
 }
 
+/// Opens a snapshot file with default tuning.
+StatusOr<std::unique_ptr<Store>> OpenSnapshot(const std::string& path,
+                                              vfs::Vfs* vfs) {
+  StoreOptions tuning;
+  return StoreRegistry::Open(path, std::move(tuning), vfs);
+}
+
 void RunBackend(const std::string& backend,
                 const std::vector<std::string>& all_versions,
                 const Config& config, bench::JsonReport* report) {
@@ -121,7 +128,7 @@ void RunBackend(const std::string& backend,
     auto t0 = std::chrono::steady_clock::now();
     Die((*store)->SaveToFile(mem_path, &mem), "save");
     auto t1 = std::chrono::steady_clock::now();
-    auto reopened = StoreRegistry::Open(mem_path, {}, &mem);
+    auto reopened = OpenSnapshot(mem_path, &mem);
     Die(reopened.status(), "open");
     auto t2 = std::chrono::steady_clock::now();
     if ((*reopened)->version_count() != (*store)->version_count()) {
@@ -136,10 +143,10 @@ void RunBackend(const std::string& backend,
         (std::filesystem::path(dir.path) / "store.xar").string();
     Die((*store)->SaveToFile(disk_path), "save to disk");
     auto tb0 = std::chrono::steady_clock::now();
-    auto buffered = StoreRegistry::Open(disk_path, {}, vfs::Vfs::Posix());
+    auto buffered = OpenSnapshot(disk_path, vfs::Vfs::Posix());
     Die(buffered.status(), "open buffered");
     auto tb1 = std::chrono::steady_clock::now();
-    auto mapped = StoreRegistry::Open(disk_path, {}, vfs::Vfs::Mmap());
+    auto mapped = OpenSnapshot(disk_path, vfs::Vfs::Mmap());
     Die(mapped.status(), "open mmap");
     auto tb2 = std::chrono::steady_clock::now();
     if ((*buffered)->version_count() != (*mapped)->version_count()) {
@@ -187,7 +194,7 @@ void RunBackend(const std::string& backend,
     if (archive_family) {
       const std::string first_query = "/site @ version " + std::to_string(n);
       auto c0 = std::chrono::steady_clock::now();
-      auto opened = StoreRegistry::Open(disk_path, {}, vfs::Vfs::Mmap());
+      auto opened = OpenSnapshot(disk_path, vfs::Vfs::Mmap());
       auto c1 = std::chrono::steady_clock::now();
       Die(opened.status(), "cold open");
       StringSink cold_sink;
