@@ -4,7 +4,8 @@
 // Shared driver for the storage experiments (Fig. 11-14, Appendix C):
 // feeds a sequence of versions to every storage strategy of Sec. 5 —
 // resolved through the Store v2 registry — and prints one row per version
-// with all the byte counts the paper plots.
+// with all the byte counts the paper plots, plus the size of the XAR2
+// snapshot the archive store actually serves ("xar2").
 
 #include <cstdio>
 #include <functional>
@@ -74,7 +75,8 @@ inline void RunStorageSweep(const std::string& title,
   std::unique_ptr<Store> all = make_store("full-copy", /*with_spec=*/false);
 
   std::printf("# %s\n", title.c_str());
-  std::printf("%-3s %10s %10s %10s", "v", "version", "archive", "V1+inc");
+  std::printf("%-3s %10s %10s %10s %10s", "v", "version", "archive", "xar2",
+              "V1+inc");
   if (options.with_cumulative) std::printf(" %10s", "V1+cumu");
   if (options.with_compression) {
     std::printf(" %12s %12s %12s %12s", "gzip(inc)", "gzip(cumu)",
@@ -94,14 +96,17 @@ inline void RunStorageSweep(const std::string& title,
     }
 
     std::string archive_xml = archive->StoredBytes();
-    std::printf("%-3d %10zu %10zu %10zu", v, text.size(), archive_xml.size(),
-                inc->ByteSize());
+    auto xar2 = archive->SaveToBytes();
+    const size_t xar2_bytes = xar2.ok() ? xar2->size() : 0;
+    std::printf("%-3d %10zu %10zu %10zu %10zu", v, text.size(),
+                archive_xml.size(), xar2_bytes, inc->ByteSize());
     if (options.json != nullptr) {
       options.json->BeginRow();
       options.json->Add("sweep", title);
       options.json->Add("v", v);
       options.json->Add("version_bytes", text.size());
       options.json->Add("archive_bytes", archive_xml.size());
+      options.json->Add("xar2_bytes", xar2_bytes);
       options.json->Add("incr_diff_bytes", inc->ByteSize());
     }
     if (options.with_cumulative) {
