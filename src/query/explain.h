@@ -15,8 +15,7 @@ namespace xarch::query {
 /// line carries `mapped=true` when the view navigates mapped bytes.
 Status ExplainView(const Plan& plan, const core::ArchiveView& view,
                    const index::ViewIndex* index, Sink& sink,
-                   EvalResult* result,
-                   const EvalOptions& options = {});
+                   EvalResult* result, const EvalOptions& options = {});
 
 /// EXPLAIN over the generic store plan.
 Status ExplainOverStore(const Plan& plan, StorePrimitives& store, Sink& sink,

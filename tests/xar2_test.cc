@@ -97,6 +97,19 @@ std::unique_ptr<Store> MakeLiveStore(const std::string& backend,
   return out;
 }
 
+// Named default tuning: a braced StoreOptions temporary makes GCC 12 warn
+// -Wmaybe-uninitialized about StoreOptions::extmem.work_dir.
+StatusOr<std::unique_ptr<Store>> OpenMapped(const std::string& path) {
+  StoreOptions tuning;
+  return StoreRegistry::Open(path, std::move(tuning), vfs::Vfs::Mmap());
+}
+
+StatusOr<std::unique_ptr<Store>> OpenBytes(std::string bytes) {
+  StoreOptions tuning;
+  return StoreRegistry::Global().OpenFromBytes(std::move(bytes),
+                                               std::move(tuning));
+}
+
 StatusOr<std::string> RunQuery(Store& store, const std::string& q) {
   StringSink sink;
   XARCH_RETURN_NOT_OK(store.Query(q, sink));
@@ -138,6 +151,17 @@ void WriteAll(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(file.ok()) << path << ": " << file.status().ToString();
   ASSERT_TRUE((*file)->Append(bytes).ok()) << path;
   ASSERT_TRUE((*file)->Close().ok()) << path;
+}
+
+/// Little-endian u32 fields of snapshot bytes, as the writer lays them out.
+uint32_t U32At(const std::string& bytes, size_t at) {
+  uint32_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void SetU32At(std::string* bytes, size_t at, uint32_t v) {
+  std::memcpy(&(*bytes)[at], &v, sizeof(v));
 }
 
 // ----------------------------------------------- heap vs. mapped parity
@@ -263,7 +287,7 @@ TEST_P(Xar2ParityTest, MappedDiffMatchesHeapForEveryPairWithoutNodes) {
   ScratchDir dir("diff");
   const std::string path = dir.File("store.xar");
   ASSERT_TRUE(live->SaveToFile(path).ok());
-  auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
+  auto mapped_or = OpenMapped(path);
   ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
   Store& mapped = **mapped_or;
   const Version n = live->version_count();
@@ -436,26 +460,19 @@ TEST_P(Xar1FixtureTest, EveryTruncationFails) {
 // every section it was written with. Each LZSS section of each fixture
 // gets its declared raw length bumped under a recomputed section CRC.
 TEST(Xar1FixtureSweepTest, EveryLzssSectionIsDecodedAtOpen) {
-  auto u32_at = [](const std::string& b, size_t at) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(b[at + i])) << (8 * i);
-    }
-    return v;
-  };
-  auto u64_at = [&](const std::string& b, size_t at) {
-    return static_cast<uint64_t>(u32_at(b, at)) |
-           (static_cast<uint64_t>(u32_at(b, at + 4)) << 32);
+  auto u64_at = [](const std::string& b, size_t at) {
+    return static_cast<uint64_t>(U32At(b, at)) |
+           (static_cast<uint64_t>(U32At(b, at + 4)) << 32);
   };
   size_t patched = 0;
   for (const std::string& backend : kFixtureBackends) {
     const std::string good = ReadAll(FixturePath(backend));
     ASSERT_EQ(good.substr(0, 4), "XAR1");
-    const uint32_t count = u32_at(good, 8);
+    const uint32_t count = U32At(good, 8);
     size_t at = 16;
     for (uint32_t s = 0; s < count; ++s) {
       const size_t start = at;
-      const uint32_t name_len = u32_at(good, at);
+      const uint32_t name_len = U32At(good, at);
       const std::string name = good.substr(at + 4, name_len);
       const size_t flags_at = at + 4 + name_len;
       const uint64_t stored_len = u64_at(good, flags_at + 9);
@@ -576,7 +593,7 @@ TEST_P(Xar2ArchiveSectionTest, OpensMappedAndPromotesFromFlatRecords) {
   ASSERT_EQ(view->bytes().substr(0, 4), "XAR2");
   ASSERT_TRUE(view->HasSection("archive")) << path;
 
-  auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
+  auto mapped_or = OpenMapped(path);
   ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
   Store& mapped = **mapped_or;
   std::unique_ptr<Store> live = MakeLiveStore(backend, /*use_index=*/true);
@@ -628,16 +645,6 @@ INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2ArchiveSectionTest,
 // ------------------------------------------ flat-record decoder hardening
 
 using Sections = std::map<std::string, std::string>;
-
-uint32_t U32At(const std::string& bytes, size_t at) {
-  uint32_t v;
-  std::memcpy(&v, bytes.data() + at, sizeof(v));
-  return v;
-}
-
-void SetU32At(std::string* bytes, size_t at, uint32_t v) {
-  std::memcpy(&(*bytes)[at], &v, sizeof(v));
-}
 
 /// Byte offset of field `f` of node record `n` in the "nodes" section.
 size_t NodeField(uint32_t n, int f) { return 4 + 4 * (12 * n + f); }
@@ -737,7 +744,7 @@ TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
       Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
   for (const auto& [what, patch] : cases) {
     const std::string bytes = PatchedSnapshot(patch);
-    auto opened = StoreRegistry::Global().OpenFromBytes(bytes);
+    auto opened = OpenBytes(bytes);
     ASSERT_TRUE(opened.ok()) << what << ": " << opened.status().ToString();
     Store& store = **opened;
     for (int attempt = 0; attempt < 2; ++attempt) {
@@ -785,8 +792,7 @@ TEST(Xar2DecoderHardeningTest, RecordsOutOfEncoderOrderFailTheOpen) {
        }},
   };
   for (const auto& [what, patch] : cases) {
-    auto opened =
-        StoreRegistry::Global().OpenFromBytes(PatchedSnapshot(patch));
+    auto opened = OpenBytes(PatchedSnapshot(patch));
     EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
         << what << ": " << opened.status().ToString();
     EXPECT_NE(opened.status().message().find("encoder order"),
