@@ -662,12 +662,17 @@ uint32_t StringSid(const std::string& strings, const std::string& text) {
   return 0;
 }
 
-/// A checksum-valid XAR2 snapshot of the fixture versions whose sections
-/// `patch` edited: every section is rewritten raw, as the archive writer
-/// stores them, so the container passes every CRC.
-std::string PatchedSnapshot(const std::function<void(Sections*)>& patch) {
-  std::unique_ptr<Store> live = MakeLiveStore("archive");
-  auto bytes = live->SaveToBytes();
+/// A checksum-valid XAR2 snapshot of `versions` whose sections `patch`
+/// edited: every section is rewritten raw, as the archive writer stores
+/// them, so the container passes every CRC.
+std::string PatchedSnapshot(const std::vector<std::string>& versions,
+                            const std::function<void(Sections*)>& patch) {
+  auto live = StoreRegistry::Create("archive", OptionsWithSpec());
+  EXPECT_TRUE(live.ok());
+  for (const std::string& text : versions) {
+    EXPECT_TRUE((*live)->Append(text).ok());
+  }
+  auto bytes = (*live)->SaveToBytes();
   EXPECT_TRUE(bytes.ok());
   auto view = persist::SnapshotView::OpenFromBytes(*bytes);
   EXPECT_TRUE(view.ok());
@@ -690,9 +695,14 @@ std::string PatchedSnapshot(const std::function<void(Sections*)>& patch) {
 // no status to return, so the failed decode shows as empty byte and node
 // counts.
 TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
-  const std::map<std::string, std::function<void(Sections*)>> cases = {
+  struct Case {
+    std::vector<std::string> versions;
+    std::function<void(Sections*)> patch;
+  };
+  const std::vector<std::string> fixture = FixtureVersions();
+  const std::map<std::string, Case> cases = {
       {"child stamp escapes its parent's",
-       [](Sections* s) {
+       {fixture, [](Sections* s) {
          std::string& nodes = (*s)["nodes"];
          const uint32_t root_stamp = U32At(nodes, NodeField(0, 1));
          for (uint32_t n = 1; n < U32At(nodes, 0); ++n) {
@@ -706,9 +716,9 @@ TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
            return;
          }
          ADD_FAILURE() << "no stamped inner node";
-       }},
+       }}},
       {"siblings out of label order",
-       [](Sections* s) {
+       {fixture, [](Sections* s) {
          // Swap the key values of db's first two entries.
          const std::string& nodes = (*s)["nodes"];
          const uint32_t db = U32At(nodes, NodeField(0, 6));
@@ -720,14 +730,22 @@ TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
          const uint32_t value_a = U32At(parts, a);
          SetU32At(&parts, a, U32At(parts, b));
          SetU32At(&parts, b, value_a);
-       }},
+       }}},
       {"frontier flag contradicts the spec",
-       [](Sections* s) {
-         // With a key below <note>, note is no longer a frontier path.
-         (*s)["spec"] += "\n(/db/entry/note, (x, {}))\n";
-       }},
+       // An empty <db> is an inner node with neither children nor
+       // content, so a frontier flag on it still passes Attach.
+       {{"<db/>"}, [](Sections* s) {
+          std::string& nodes = (*s)["nodes"];
+          ASSERT_EQ(U32At(nodes, 0), 2u);
+          SetU32At(&nodes, NodeField(1, 10), 1);
+        }}},
+      {"frontier flag contradicts a changed spec",
+       {fixture, [](Sections* s) {
+          // With a key below <note>, note is no longer a frontier path.
+          (*s)["spec"] += "\n(/db/entry/note, (x, {}))\n";
+        }}},
       {"tag path not covered by the spec",
-       [](Sections* s) {
+       {fixture, [](Sections* s) {
          std::string& nodes = (*s)["nodes"];
          const uint32_t note = StringSid((*s)["strings"], "note");
          const uint32_t db = StringSid((*s)["strings"], "db");
@@ -738,12 +756,13 @@ TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
            }
          }
          ADD_FAILURE() << "no note node";
-       }},
+       }}},
   };
   const std::string v5 =
       Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
-  for (const auto& [what, patch] : cases) {
-    const std::string bytes = PatchedSnapshot(patch);
+  for (const auto& [what, bad] : cases) {
+    const std::string bytes = PatchedSnapshot(bad.versions, bad.patch);
+    const Version versions = static_cast<Version>(bad.versions.size());
     auto opened = OpenBytes(bytes);
     ASSERT_TRUE(opened.ok()) << what << ": " << opened.status().ToString();
     Store& store = **opened;
@@ -752,12 +771,12 @@ TEST(Xar2DecoderHardeningTest, InvariantBreakingRecordsFailTheFirstDecode) {
       EXPECT_EQ(appended.code(), StatusCode::kDataLoss)
           << what << ": " << appended.ToString();
       const StoreStats stats = store.Stats();
-      EXPECT_EQ(stats.versions, 4u) << what;
+      EXPECT_EQ(stats.versions, versions) << what;
       EXPECT_EQ(stats.stored_bytes, 0u) << what;
       EXPECT_EQ(stats.node_count, 0u) << what;
       EXPECT_EQ(store.StoredBytes(), "") << what;
     }
-    EXPECT_EQ(store.version_count(), 4u) << what;
+    EXPECT_EQ(store.version_count(), versions) << what;
     auto resaved = store.SaveToBytes();
     ASSERT_TRUE(resaved.ok()) << what;
     EXPECT_EQ(*resaved, bytes) << what;
@@ -792,7 +811,7 @@ TEST(Xar2DecoderHardeningTest, RecordsOutOfEncoderOrderFailTheOpen) {
        }},
   };
   for (const auto& [what, patch] : cases) {
-    auto opened = OpenBytes(PatchedSnapshot(patch));
+    auto opened = OpenBytes(PatchedSnapshot(FixtureVersions(), patch));
     EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
         << what << ": " << opened.status().ToString();
     EXPECT_NE(opened.status().message().find("encoder order"),
