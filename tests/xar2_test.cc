@@ -642,6 +642,59 @@ INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2ArchiveSectionTest,
                          ::testing::Values("archive", "archive-weave"),
                          FixtureTestName);
 
+// ------------------------------------------------ indexed XAR2 fixtures
+
+// Committed XAR2 files in today's layout, index pages included
+// (tests/data/README.md): a live indexed store must write them byte for
+// byte, and the mapped index must probe exactly as the live one.
+class Xar2IndexedFixtureTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::string Path() const {
+    return std::string(XARCH_TEST_DATA_DIR) + "/xar2_indexed_" + GetParam() +
+           ".xar";
+  }
+};
+
+TEST_P(Xar2IndexedFixtureTest, LiveSaveEqualsCommittedBytes) {
+  std::unique_ptr<Store> live = MakeLiveStore(GetParam(), /*use_index=*/true);
+  auto bytes = live->SaveToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  const std::string committed = ReadAll(Path());
+  ASSERT_FALSE(committed.empty()) << Path();
+  EXPECT_EQ(*bytes, committed);
+}
+
+TEST_P(Xar2IndexedFixtureTest, OpensMappedWithLiveExplain) {
+  auto view = persist::SnapshotView::OpenFromBytes(ReadAll(Path()));
+  ASSERT_TRUE(view.ok()) << Path() << ": " << view.status().ToString();
+  ASSERT_TRUE(view->HasSection("index")) << Path();
+  auto mapped_or = OpenMapped(Path());
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
+  std::unique_ptr<Store> live = MakeLiveStore(GetParam(), /*use_index=*/true);
+  const std::string marker = " (mapped=true)";
+  for (const char* q : {
+           "explain /db/entry[id=\"2\"] @ version 1",
+           "explain /db/entry[id=\"2\"] @ version 2",
+           "explain /db/entry[*] @ versions 1..4",
+           "explain /db/entry[id=\"3\"] history",
+           "explain /db @ version 4",
+       }) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(**mapped_or, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    EXPECT_EQ(a->find(marker), std::string::npos) << *a;
+    std::string stripped = *b;
+    const size_t at = stripped.find(marker);
+    ASSERT_NE(at, std::string::npos) << *b;
+    stripped.erase(at, marker.size());
+    EXPECT_EQ(stripped, *a) << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2IndexedFixtureTest,
+                         ::testing::Values("archive", "archive-weave"),
+                         FixtureTestName);
+
 // ------------------------------------------ flat-record decoder hardening
 
 using Sections = std::map<std::string, std::string>;
