@@ -1,14 +1,21 @@
 // E11 — Sec. 7.1: version retrieval, full scan vs timestamp trees.
 // Builds a long accretive history, then retrieves versions of different
-// ages. For an old (small) version the timestamp trees prune most of the
-// archive: probes track 2α-1+2α·log(k/α) rather than the full child count.
+// ages through the XAQL evaluator (`/ROOT @ version v`), once pruned by
+// the index and once as a full scan. For an old (small) version the
+// timestamp trees prune most of the archive: probes track
+// 2α-1+2α·log(k/α) rather than the full child count.
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <thread>
 
 #include "core/archive.h"
-#include "json_report.h"
 #include "index/archive_index.h"
+#include "json_report.h"
+#include "query/evaluator.h"
+#include "query/parser.h"
+#include "query/planner.h"
 #include "synth/omim.h"
 
 int main(int argc, char** argv) {
@@ -36,29 +43,45 @@ int main(int argc, char** argv) {
   size_t full_scan_nodes = archive.CountNodes();
   std::printf("%-8s %14s %18s %14s %14s\n", "version", "tree probes",
               "full scan (nodes)", "scan us", "indexed us");
+  const unsigned hardware = std::thread::hardware_concurrency();
   for (Version v : {1u, 10u, 20u, 30u, 40u}) {
-    index::ProbeStats stats;
+    auto ast = query::Parse("/ROOT @ version " + std::to_string(v));
+    if (!ast.ok()) {
+      std::fprintf(stderr, "%s\n", ast.status().ToString().c_str());
+      return 1;
+    }
+    const query::Plan indexed_plan =
+        query::MakePlan(*ast, query::Access::kArchiveIndexed);
+    const query::Plan scan_plan =
+        query::MakePlan(std::move(*ast), query::Access::kArchiveScan);
+    StringSink indexed, scanned;
+    query::EvalResult result;
     auto t0 = std::chrono::steady_clock::now();
-    auto indexed = idx.RetrieveVersion(v, &stats);
+    Status indexed_status =
+        query::Evaluate(indexed_plan, archive, &idx, indexed, &result);
     auto t1 = std::chrono::steady_clock::now();
-    auto scanned = archive.RetrieveVersion(v);
+    Status scan_status =
+        query::Evaluate(scan_plan, archive, nullptr, scanned, nullptr);
     auto t2 = std::chrono::steady_clock::now();
-    if (!indexed.ok() || !scanned.ok()) {
-      std::fprintf(stderr, "retrieval failed\n");
+    if (!indexed_status.ok() || !scan_status.ok() ||
+        indexed.data() != scanned.data()) {
+      std::fprintf(stderr, "retrieval failed or differs at version %u\n", v);
       return 1;
     }
     double indexed_us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
     double scan_us =
         std::chrono::duration<double, std::micro>(t2 - t1).count();
-    std::printf("%-8u %14zu %18zu %14.1f %14.1f\n", v, stats.tree_probes,
-                full_scan_nodes, scan_us, indexed_us);
+    std::printf("%-8u %14zu %18zu %14.1f %14.1f\n", v,
+                result.probes.tree_probes, full_scan_nodes, scan_us,
+                indexed_us);
     report.BeginRow();
     report.Add("version", v);
-    report.Add("tree_probes", stats.tree_probes);
+    report.Add("tree_probes", result.probes.tree_probes);
     report.Add("full_scan_nodes", full_scan_nodes);
     report.Add("scan_us", scan_us);
     report.Add("indexed_us", indexed_us);
+    report.Add("hardware_concurrency", hardware);
   }
   std::printf("\nexpected shape: retrieving an early (small) version probes "
               "far fewer tree nodes than the full scan touches; the "

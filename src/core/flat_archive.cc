@@ -569,10 +569,14 @@ uint32_t FlatArchiveEncoder::InternStamp(const VersionSet& stamp) {
     PutU32(&encoded, lo);
     PutU32(&encoded, hi);
   }
+  return InternStamp(std::string_view(encoded));
+}
+
+uint32_t FlatArchiveEncoder::InternStamp(std::string_view encoded) {
   auto it = stamp_ids_.find(encoded);
   if (it != stamp_ids_.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(stamp_pool_.size());
-  stamp_pool_.push_back(std::move(encoded));
+  stamp_pool_.emplace_back(encoded);
   stamp_ids_.emplace(std::string_view(stamp_pool_.back()), id);
   return id;
 }
@@ -618,13 +622,18 @@ uint32_t FlatArchiveEncoder::EncodeContentForest(
   return static_cast<uint32_t>(roots.size());
 }
 
+std::vector<const ArchiveNode*> BreadthFirstOrder(const Archive& archive) {
+  std::vector<const ArchiveNode*> order = {&archive.root()};
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (const auto& child : order[i]->children) order.push_back(child.get());
+  }
+  return order;
+}
+
 void FlatArchiveEncoder::EncodeStructure() {
-  order_.push_back(&archive_.root());
-  node_ids_.emplace(&archive_.root(), 0);
-  // Breadth-first so every node's children form one contiguous id run
-  // starting past the node itself.
-  for (size_t i = 0; i < order_.size(); ++i) {
-    const ArchiveNode& node = *order_[i];
+  uint32_t child_begin = 1;
+  for (const ArchiveNode* node_ptr : BreadthFirstOrder(archive_)) {
+    const ArchiveNode& node = *node_ptr;
     uint32_t rec[FlatArchive::kNodeFields] = {0};
     rec[FlatArchive::kNodeTagSid] = interner_.Intern(node.label.tag);
     rec[FlatArchive::kNodeStampIdPlus1] =
@@ -645,13 +654,10 @@ void FlatArchiveEncoder::EncodeStructure() {
       attrs_.push_back(interner_.Intern(name));
       attrs_.push_back(interner_.Intern(value));
     }
-    rec[FlatArchive::kNodeChildBegin] = static_cast<uint32_t>(order_.size());
+    rec[FlatArchive::kNodeChildBegin] = child_begin;
     rec[FlatArchive::kNodeChildCount] =
         static_cast<uint32_t>(node.children.size());
-    for (const auto& child : node.children) {
-      node_ids_.emplace(child.get(), static_cast<uint32_t>(order_.size()));
-      order_.push_back(child.get());
-    }
+    child_begin += static_cast<uint32_t>(node.children.size());
     rec[FlatArchive::kNodeBucketBegin] =
         static_cast<uint32_t>(buckets_.size() / 3);
     rec[FlatArchive::kNodeBucketCount] =

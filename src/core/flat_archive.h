@@ -200,13 +200,19 @@ class FlatContentSource : public xml::NodeSource {
   const FlatArchive* a_;
 };
 
-/// \brief Builds the flat sections from a heap Archive: one breadth-first
-/// walk interning strings and timestamps as it lays out the record arenas.
+/// The archive's nodes in flat record order: breadth-first from the root,
+/// so every node's children form one contiguous run past the node itself.
+/// XAR2 node ids and index page ids are positions in this order.
+std::vector<const ArchiveNode*> BreadthFirstOrder(const Archive& archive);
+
+/// \brief Builds the flat sections from a heap Archive: one walk in
+/// BreadthFirstOrder interning strings and timestamps as it lays out the
+/// record arenas.
 ///
-/// Index-page serialization (index/view_index.h) runs between
-/// EncodeStructure() and Finish(): it maps ArchiveNode pointers to flat
-/// ids via NodeIdOf and interns the timestamp-tree stamps into the shared
-/// pool, so the string/stamp sections serialize once, at Finish().
+/// Index-page serialization (index::ArchiveIndex::EncodePages) runs
+/// between EncodeStructure() and Finish(): it interns the timestamp-tree
+/// stamps into the shared pool, so the string/stamp sections serialize
+/// once, at Finish().
 class FlatArchiveEncoder {
  public:
   explicit FlatArchiveEncoder(const Archive& archive) : archive_(archive) {}
@@ -216,15 +222,9 @@ class FlatArchiveEncoder {
 
   /// Dedups `stamp` into the pool, returning its id.
   uint32_t InternStamp(const VersionSet& stamp);
-
-  /// Flat id assigned to `node` by EncodeStructure (node must belong to
-  /// the encoded archive).
-  uint32_t NodeIdOf(const ArchiveNode& node) const {
-    return node_ids_.at(&node);
-  }
-
-  /// Nodes in flat id order.
-  const std::vector<const ArchiveNode*>& node_order() const { return order_; }
+  /// The same for a stamp already encoded as its little-endian u32
+  /// (lo, hi) interval pairs.
+  uint32_t InternStamp(std::string_view encoded);
 
   struct Sections {
     std::string meta, strings, stamps, nodes, parts, attrs, buckets, content;
@@ -242,8 +242,6 @@ class FlatArchiveEncoder {
   // deque: growth must not move elements, the map holds views into them.
   std::deque<std::string> stamp_pool_;  // encoded (lo, hi) pair bytes
   std::unordered_map<std::string_view, uint32_t> stamp_ids_;
-  std::vector<const ArchiveNode*> order_;
-  std::unordered_map<const ArchiveNode*, uint32_t> node_ids_;
   std::vector<uint32_t> nodes_, parts_, attrs_, buckets_, content_;
 };
 

@@ -10,8 +10,8 @@
 namespace xarch::index {
 
 /// The Sec. 7.1 budgeted search over any storage of tree node records.
-/// The heap TimestampTree and the mapped XAR2 index pages both run this one
-/// body, so their hits and probe counts agree by construction. `records`
+/// TimestampTree and the index pages (index::ArchiveIndex) both run this
+/// one body, so their hits and probe counts agree by construction. `records`
 /// answers Contains(id, v), Left(id) / Right(id) (-1 for leaves), and
 /// LeafLo(id); leaves occupy ids [0, leaf_count) in child order.
 ///
@@ -100,8 +100,8 @@ class TimestampTree {
   };
 
   /// The i-th tree node (leaves occupy [0, leaf_count()) in child order).
-  /// Exposed for XAR2 index-page serialization, which persists the tree
-  /// verbatim so the mapped lookup probes the same nodes in the same order.
+  /// Exposed for the index pages, which store the tree verbatim so their
+  /// lookup probes the same nodes in the same order.
   const Node& node(size_t i) const { return nodes_[i]; }
 
   /// Index of the root node, -1 when the tree is empty.

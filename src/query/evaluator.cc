@@ -166,7 +166,7 @@ struct NodeMatch {
 class ArchiveEvaluator {
  public:
   ArchiveEvaluator(const core::ArchiveView& view,
-                   const index::ViewIndex* index, Sink& sink,
+                   const index::ArchiveIndex* index, Sink& sink,
                    EvalResult& result, const EvalOptions& options)
       : view_(view),
         index_(index),
@@ -446,7 +446,7 @@ class ArchiveEvaluator {
   }
 
   const core::ArchiveView& view_;
-  const index::ViewIndex* index_;
+  const index::ArchiveIndex* index_;
   Sink& sink_;
   EvalResult& result_;
   const EvalOptions& options_;
@@ -731,7 +731,7 @@ Status Evaluate(const Plan& plan, const core::Archive& archive,
 }
 
 Status EvaluateView(const Plan& plan, const core::ArchiveView& view,
-                    const index::ViewIndex* index, Sink& sink,
+                    const index::ArchiveIndex* index, Sink& sink,
                     EvalResult* result, const EvalOptions& options) {
   EvalResult local;
   EvalResult& r = result != nullptr ? *result : local;

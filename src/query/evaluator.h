@@ -9,7 +9,6 @@
 #include "core/changes.h"
 #include "core/tree_view.h"
 #include "index/archive_index.h"
-#include "index/view_index.h"
 #include "obs/trace.h"
 #include "query/planner.h"
 #include "util/status.h"
@@ -84,12 +83,13 @@ Status Evaluate(const Plan& plan, const core::Archive& archive,
 
 /// The archive-plan evaluator over any ArchiveView — the one
 /// implementation behind Evaluate(). The archive store calls it directly
-/// with its current view and index (FlatArchiveView + FlatViewIndex while
-/// backed by a mapped snapshot, HeapArchiveView + ArchiveIndex after),
-/// producing identical bytes and probe counts either way; `@ diff` runs
-/// core::DescribeChanges over the same view.
+/// with its current view and an index over the same view (FlatArchiveView
+/// and attached pages while backed by a mapped snapshot, HeapArchiveView
+/// and heap-built pages after), producing identical bytes and probe
+/// counts either way; `@ diff` runs core::DescribeChanges over the same
+/// view.
 Status EvaluateView(const Plan& plan, const core::ArchiveView& view,
-                    const index::ViewIndex* index, Sink& sink,
+                    const index::ArchiveIndex* index, Sink& sink,
                     EvalResult* result, const EvalOptions& options = {});
 
 /// \brief Interface-level evaluation through Store primitives (the

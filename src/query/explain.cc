@@ -62,7 +62,7 @@ std::string FormatExplain(const Plan& plan, const EvalResult& result,
 }
 
 Status ExplainView(const Plan& plan, const core::ArchiveView& view,
-                   const index::ViewIndex* index, Sink& sink,
+                   const index::ArchiveIndex* index, Sink& sink,
                    EvalResult* result, const EvalOptions& options) {
   EvalResult local;
   EvalResult& r = result != nullptr ? *result : local;

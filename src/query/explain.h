@@ -14,7 +14,7 @@ namespace xarch::query {
 /// EXPLAIN over the archive plans, on any ArchiveView; the report's access
 /// line carries `mapped=true` when the view navigates mapped bytes.
 Status ExplainView(const Plan& plan, const core::ArchiveView& view,
-                   const index::ViewIndex* index, Sink& sink,
+                   const index::ArchiveIndex* index, Sink& sink,
                    EvalResult* result, const EvalOptions& options = {});
 
 /// EXPLAIN over the generic store plan.

@@ -14,7 +14,6 @@
 #include "core/flat_archive.h"
 #include "core/scan.h"
 #include "core/tree_view.h"
-#include "index/view_index.h"
 #include "persist/container.h"
 #include "persist/wire.h"
 #include "diff/repository.h"
@@ -394,14 +393,14 @@ StatusOr<ArchiveConfig> DecodeArchiveConfig(
 /// The paper's key-based archive (bucket or weave frontier) behind Store.
 ///
 /// Every read hook has one body over an ArchiveView plus an optional
-/// ViewIndex, and a store is in one of two states. Opened from an XAR2
+/// ArchiveIndex, and a store is in one of two states. Opened from an XAR2
 /// snapshot it is mapped: the flat view and the persisted index pages,
 /// navigated in place, so open is O(mmap + checksum verify) and no read
 /// (retrieve, history, query, diff) allocates a heap node. The first
 /// ingest decodes the heap archive from the flat records and drops the
-/// mapping; from then on reads go through HeapArchiveView and the heap
-/// ArchiveIndex, which every ingest republishes. Stores created empty or
-/// restored from XAR1 are on the heap from the start.
+/// mapping; from then on reads go through HeapArchiveView and index pages
+/// built from the heap archive, which every ingest republishes. Stores
+/// created empty or restored from XAR1 are on the heap from the start.
 class ArchiveStore final : public Store {
  public:
   /// The mapped state of a store opened from XAR2, until its first ingest.
@@ -416,7 +415,7 @@ class ArchiveStore final : public Store {
     persist::SnapshotView snapshot;
     core::FlatArchive flat;  // views into snapshot's bytes
     core::FlatArchiveView view;
-    std::optional<index::FlatViewIndex> index;  // when the snapshot has one
+    std::optional<index::ArchiveIndex> index;  // when the snapshot has one
     ArchiveConfig config;  // to decode the heap archive
   };
 
@@ -480,8 +479,8 @@ class ArchiveStore final : public Store {
       XARCH_ASSIGN_OR_RETURN(std::string_view pages,
                              snapshot.RawSection("index"));
       XARCH_ASSIGN_OR_RETURN(
-          index::FlatViewIndex index,
-          index::FlatViewIndex::Attach(&mapping->flat, pages));
+          index::ArchiveIndex index,
+          index::ArchiveIndex::Attach(&mapping->flat, pages));
       mapping->index.emplace(std::move(index));
     }
     return std::unique_ptr<Store>(
@@ -547,7 +546,7 @@ class ArchiveStore final : public Store {
 
   StatusOr<VersionSet> HistoryImpl(
       const std::vector<core::KeyStep>& path) override {
-    if (const index::ViewIndex* index = Index()) {
+    if (const index::ArchiveIndex* index = Index()) {
       return index->History(path, nullptr);
     }
     return core::HistoryOverView(View(), path);
@@ -566,7 +565,7 @@ class ArchiveStore final : public Store {
     // is handled at ingest, where it belongs).
     assert(mapping_ != nullptr || index_ == nullptr ||
            index_->built_at_generation() == archive_->ingest_generation());
-    const index::ViewIndex* index = nullptr;
+    const index::ArchiveIndex* index = nullptr;
     obs::Trace analyze_trace;
     XARCH_ASSIGN_OR_RETURN(
         query::Plan plan,
@@ -630,7 +629,8 @@ class ArchiveStore final : public Store {
     if (index_ != nullptr) {
       // Between EncodeStructure and Finish so tree stamps intern into the
       // shared pool.
-      index_pages = index::EncodeIndexPages(*index_, &encoder);
+      assert(index_->built_at_generation() == archive_->ingest_generation());
+      index_pages = index_->EncodePages(&encoder);
     }
     core::FlatArchiveEncoder::Sections flat = encoder.Finish();
     writer.AddRaw("meta", std::move(flat.meta));
@@ -653,7 +653,7 @@ class ArchiveStore final : public Store {
   }
 
   /// The index over View(), or nullptr when the store is unindexed.
-  const index::ViewIndex* Index() const {
+  const index::ArchiveIndex* Index() const {
     if (mapping_ == nullptr) return index_.get();
     return mapping_->index.has_value() ? &*mapping_->index : nullptr;
   }

@@ -124,11 +124,13 @@ struct StoreOptions {
   /// Backend wrapped by "compressed".
   std::string inner = "archive";
   /// Maintain an index::ArchiveIndex over the archive backend and answer
-  /// History() through it. The index is rebuilt and published at ingest
+  /// History() and queries through it. The index is built at ingest
   /// time, under the writer lock — never on the read path (the paper's
-  /// "constructed each time a new version arrives"). Cost model: one full
-  /// index build per Append but only one per AppendBatch, so bulk-load
-  /// indexed stores through AppendBatch.
+  /// "constructed each time a new version arrives") — directly as the
+  /// XAR2 index pages, which snapshots store as they are and a mapped
+  /// open reads in place. Cost model: one full index build per Append
+  /// but only one per AppendBatch, so bulk-load indexed stores through
+  /// AppendBatch.
   bool use_index = false;
   /// Shard count for the "sharded" backend (ignored by every other
   /// backend): the key space is range-partitioned into this many

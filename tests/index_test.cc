@@ -3,12 +3,17 @@
 #include <cmath>
 
 #include "core/archive.h"
+#include "core/flat_archive.h"
 #include "index/archive_index.h"
 #include "index/timestamp_tree.h"
-#include "xml/value.h"
+#include "query/evaluator.h"
+#include "query/parser.h"
+#include "query/planner.h"
 #include "synth/omim.h"
+#include "synth/xmark.h"
 #include "util/random.h"
 #include "xml/parser.h"
+#include "xml/value.h"
 
 namespace xarch::index {
 namespace {
@@ -229,18 +234,41 @@ core::Archive MakeOmimArchive(int versions) {
   return archive;
 }
 
+/// `query` through the evaluator over the heap archive, indexed by
+/// `index` (or scanning when null).
+Status RunQuery(const core::Archive& archive, const ArchiveIndex* index,
+                const std::string& query, std::string* out,
+                query::EvalResult* result) {
+  XARCH_ASSIGN_OR_RETURN(query::Query ast, query::Parse(query));
+  const query::Plan plan = query::MakePlan(
+      std::move(ast), index != nullptr ? query::Access::kArchiveIndexed
+                                       : query::Access::kArchiveScan);
+  StringSink sink;
+  Status status = query::Evaluate(plan, archive, index, sink, result);
+  *out = sink.data();
+  return status;
+}
+
+// Indexed retrieval is the evaluator's pruned scan: `@ version v` over the
+// whole document reconstructs exactly what the archive's own retrieval
+// does, byte for byte with the unpruned scan.
 TEST(ArchiveIndexTest, RetrieveMatchesScan) {
   core::Archive archive = MakeOmimArchive(8);
   ArchiveIndex index(archive);
   for (Version v = 1; v <= 8; ++v) {
-    ProbeStats stats;
-    auto indexed = index.RetrieveVersion(v, &stats);
-    auto scanned = archive.RetrieveVersion(v);
-    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-    ASSERT_TRUE(scanned.ok());
-    ASSERT_NE(indexed->get(), nullptr);
-    // Identical reconstruction (both walk children in archive order).
-    EXPECT_TRUE(xml::ValueEqual(**indexed, **scanned)) << "version " << v;
+    const std::string q = "/ROOT @ version " + std::to_string(v);
+    std::string indexed, scanned;
+    query::EvalResult pruned, full;
+    ASSERT_TRUE(RunQuery(archive, &index, q, &indexed, &pruned).ok()) << q;
+    ASSERT_TRUE(RunQuery(archive, nullptr, q, &scanned, &full).ok()) << q;
+    EXPECT_EQ(indexed, scanned) << q;
+    auto reference = archive.RetrieveVersion(v);
+    ASSERT_TRUE(reference.ok());
+    auto parsed = xml::Parse(indexed);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(xml::ValueEqual(**parsed, **reference)) << "version " << v;
+    EXPECT_GT(pruned.probes.tree_probes, 0u);
+    EXPECT_EQ(full.probes.tree_probes, 0u);
   }
 }
 
@@ -249,14 +277,15 @@ TEST(ArchiveIndexTest, EarlyVersionsProbeFewerThanNaive) {
   // the archive: the timestamp trees must prune most children.
   core::Archive archive = MakeOmimArchive(12);
   ArchiveIndex index(archive);
-  ProbeStats stats;
-  auto got = index.RetrieveVersion(1, &stats);
-  ASSERT_TRUE(got.ok());
+  std::string out;
+  query::EvalResult result;
+  ASSERT_TRUE(RunQuery(archive, &index, "/ROOT @ version 1", &out, &result)
+                  .ok());
   // naive probes counts every child of every *visited* node; the real
   // naive scan visits all nodes. Tree probes must not exceed the scan of
   // visited nodes by more than the 2k budget factor.
-  EXPECT_GT(stats.naive_probes, 0u);
-  EXPECT_LE(stats.tree_probes, 3 * stats.naive_probes);
+  EXPECT_GT(result.probes.naive_probes, 0u);
+  EXPECT_LE(result.probes.tree_probes, 3 * result.probes.naive_probes);
 }
 
 TEST(ArchiveIndexTest, HistoryMatchesArchiveHistory) {
@@ -299,19 +328,94 @@ TEST(ArchiveIndexTest, EmptyVersionRetrievesNull) {
   ASSERT_TRUE(archive.AddVersion(**doc).ok());
   archive.AddEmptyVersion();
   ArchiveIndex index(archive);
-  ProbeStats stats;
-  auto got = index.RetrieveVersion(2, &stats);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->get(), nullptr);
-  auto got1 = index.RetrieveVersion(1, &stats);
-  ASSERT_TRUE(got1.ok());
-  EXPECT_NE(got1->get(), nullptr);
+  std::string out;
+  query::EvalResult result;
+  Status empty = RunQuery(archive, &index, "/db @ version 2", &out, &result);
+  EXPECT_EQ(empty.code(), StatusCode::kNotFound) << empty.ToString();
+  EXPECT_EQ(out, "");
+  ASSERT_TRUE(RunQuery(archive, &index, "/db @ version 1", &out, &result)
+                  .ok());
+  EXPECT_NE(out.find("<dept>"), std::string::npos) << out;
 }
 
 TEST(ArchiveIndexTest, TreeNodeCountReported) {
   core::Archive archive = MakeOmimArchive(3);
   ArchiveIndex index(archive);
   EXPECT_GT(index.TreeNodeCount(), 0u);
+}
+
+// ------------------------------------------------ heap pages are pages
+
+/// Saves `archive`'s heap-built index the way a snapshot does, attaches
+/// the pages to the encoded flat records as a mapped store would, and
+/// checks that both indexes answer `queries` with the same bytes and
+/// probe counts.
+void ExpectHeapPagesAttach(const core::Archive& archive,
+                           const std::vector<std::string>& queries) {
+  const ArchiveIndex heap(archive);
+  core::FlatArchiveEncoder encoder(archive);
+  encoder.EncodeStructure();
+  const std::string pages = heap.EncodePages(&encoder);
+  const core::FlatArchiveEncoder::Sections s = encoder.Finish();
+  auto flat = core::FlatArchive::Attach({s.meta, s.strings, s.stamps, s.nodes,
+                                         s.parts, s.attrs, s.buckets,
+                                         s.content});
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  auto mapped = ArchiveIndex::Attach(&*flat, pages);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->TreeNodeCount(), heap.TreeNodeCount());
+  const core::FlatArchiveView view(&*flat);
+  for (const std::string& q : queries) {
+    auto ast = query::Parse(q);
+    ASSERT_TRUE(ast.ok()) << q;
+    const query::Plan plan =
+        query::MakePlan(std::move(ast).value(), query::Access::kArchiveIndexed);
+    StringSink a, b;
+    query::EvalResult ra, rb;
+    Status sa = query::Evaluate(plan, archive, &heap, a, &ra);
+    Status sb = query::EvaluateView(plan, view, &*mapped, b, &rb);
+    ASSERT_TRUE(sa.ok()) << q << ": " << sa.ToString();
+    EXPECT_EQ(sa.ToString(), sb.ToString()) << q;
+    EXPECT_EQ(a.data(), b.data()) << q;
+    EXPECT_EQ(ra.probes.tree_probes, rb.probes.tree_probes) << q;
+    EXPECT_EQ(ra.probes.naive_probes, rb.probes.naive_probes) << q;
+    EXPECT_EQ(ra.probes.comparisons, rb.probes.comparisons) << q;
+  }
+}
+
+TEST(HeapIndexPagesTest, SynthXMarkPagesAttach) {
+  synth::XMarkGenerator::Options options;
+  options.items = 5;
+  options.people = 24;
+  options.open_auctions = 20;
+  options.seed = 1;
+  synth::XMarkGenerator generator(options);
+  core::Archive archive(MustSpec(synth::XMarkGenerator::KeySpecText()));
+  for (int v = 0; v < 32; ++v) {
+    ASSERT_TRUE(archive.AddVersion(*generator.Current()).ok());
+    generator.MutateRandom(10.0);
+  }
+  ExpectHeapPagesAttach(archive, {
+      "/site @ version 1",
+      "/site @ version 32",
+      "/site/people/person[*] @ versions 5..9",
+      "/site/people/person[@id=\"person3\"] history",
+      "/site/regions/europe/item[*] history",
+  });
+}
+
+TEST(HeapIndexPagesTest, OmimPagesAttach) {
+  core::Archive archive = MakeOmimArchive(12);
+  auto v1 = archive.RetrieveVersion(1);
+  ASSERT_TRUE(v1.ok());
+  const std::string num =
+      (*v1)->FindChild("Record")->FindChild("Num")->TextContent();
+  ExpectHeapPagesAttach(archive, {
+      "/ROOT @ version 1",
+      "/ROOT @ version 12",
+      "/ROOT/Record[Num=\"" + num + "\"] @ versions 1..12",
+      "/ROOT/Record[*] history",
+  });
 }
 
 }  // namespace
