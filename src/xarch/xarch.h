@@ -29,9 +29,7 @@
 #include "core/scan.h"
 #include "diff/edit_script.h"
 #include "diff/repository.h"
-#include "diff/sccs.h"
 #include "extmem/external_archiver.h"
-#include "extmem/internal_rep.h"
 #include "extmem/io_stats.h"
 #include "index/archive_index.h"
 #include "index/timestamp_tree.h"

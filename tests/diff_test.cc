@@ -3,7 +3,6 @@
 #include "diff/edit_script.h"
 #include "diff/myers.h"
 #include "diff/repository.h"
-#include "diff/sccs.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -312,80 +311,6 @@ TEST(FullCopyRepoTest, Basics) {
   EXPECT_EQ(*repo.Retrieve(2), "v2!");
   EXPECT_EQ(repo.ConcatenatedBytes(), "v1v2!");
   EXPECT_FALSE(repo.Retrieve(3).ok());
-}
-
-// ----------------------------------------------------------------- SCCS
-
-TEST(SccsWeaveTest, RetrievesEveryVersion) {
-  SccsWeave weave;
-  std::vector<Lines> versions = {
-      {"a", "b", "c"},
-      {"a", "x", "c"},
-      {"a", "x", "c", "d"},
-      {"x", "c", "d"},
-      {"a", "x", "c", "d"},  // "a" comes back
-  };
-  for (const auto& v : versions) weave.AddVersion(v);
-  for (size_t i = 0; i < versions.size(); ++i) {
-    EXPECT_EQ(weave.Retrieve(i + 1), versions[i]) << "version " << i + 1;
-  }
-}
-
-TEST(SccsWeaveTest, FlipFlopStoredOnce) {
-  // The same line deleted and re-inserted repeatedly should be stored once
-  // (the key-based advantage of Sec. 5.3).
-  SccsWeave weave;
-  Lines with = {"head", "flip", "tail"};
-  Lines without = {"head", "tail"};
-  for (int i = 0; i < 10; ++i) {
-    weave.AddVersion(i % 2 == 0 ? with : without);
-  }
-  size_t flip_count = 0;
-  for (const auto& item : weave.items()) {
-    if (item.text == "flip") ++flip_count;
-  }
-  EXPECT_EQ(flip_count, 1u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(weave.Retrieve(i + 1), i % 2 == 0 ? with : without);
-  }
-}
-
-TEST(SccsWeaveTest, RandomizedAgainstReference) {
-  Rng rng(23);
-  SccsWeave weave;
-  std::vector<Lines> history;
-  Lines current;
-  for (int v = 0; v < 30; ++v) {
-    size_t edits = rng.Uniform(0, 5);
-    for (size_t e = 0; e < edits; ++e) {
-      double r = rng.NextDouble();
-      if (current.empty() || r < 0.4) {
-        current.insert(current.begin() + rng.Uniform(0, current.size()),
-                       rng.Word(1, 4));
-      } else if (r < 0.7) {
-        current.erase(current.begin() + rng.Uniform(0, current.size() - 1));
-      } else {
-        current[rng.Uniform(0, current.size() - 1)] = rng.Word(1, 4);
-      }
-    }
-    history.push_back(current);
-    weave.AddVersion(current);
-  }
-  for (size_t i = 0; i < history.size(); ++i) {
-    EXPECT_EQ(weave.Retrieve(i + 1), history[i]) << "version " << i + 1;
-  }
-}
-
-TEST(SccsWeaveTest, ByteSizeSmallerThanAllVersions) {
-  SccsWeave weave;
-  size_t total = 0;
-  Lines lines;
-  for (int v = 0; v < 10; ++v) {
-    lines.push_back("stable-line-number-" + std::to_string(v));
-    weave.AddVersion(lines);
-    for (const auto& l : lines) total += l.size() + 1;
-  }
-  EXPECT_LT(weave.ByteSize(), total / 2);
 }
 
 }  // namespace

@@ -4,12 +4,9 @@
 
 #include "core/archive.h"
 #include "extmem/external_archiver.h"
-#include "extmem/internal_rep.h"
 #include "synth/omim.h"
 #include "synth/xmark.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
-#include "xml/value.h"
 
 namespace xarch::extmem {
 namespace {
@@ -40,60 +37,6 @@ std::string FreshWorkDir(const std::string& name) {
                      std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-// ---------------------------------------------------- internal rep (6.1)
-
-TEST(InternalRepTest, EncodeDecodeRoundTrip) {
-  keys::KeySpecSet spec = MustSpec(kCompanyKeys);
-  xml::NodePtr doc = MustParseXml(
-      "<db><dept><name>finance</name><emp><fn>John</fn><ln>Doe</ln>"
-      "<sal>95K</sal><tel>123-4567</tel></emp></dept></db>");
-  auto rep = EncodeDocument(*doc, spec);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  auto back = DecodeDocument(*rep);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(xml::ValueEqual(*doc, **back));
-}
-
-TEST(InternalRepTest, DictionaryDeduplicatesTagNames) {
-  keys::KeySpecSet spec = MustSpec(kCompanyKeys);
-  xml::NodePtr db = xml::Node::Element("db");
-  xml::Node* dept = db->AddElement("dept");
-  dept->AddElementWithText("name", "x");
-  for (int i = 0; i < 50; ++i) {
-    xml::Node* emp = dept->AddElement("emp");
-    emp->AddElementWithText("fn", "a" + std::to_string(i));
-    emp->AddElementWithText("ln", "b");
-  }
-  auto rep = EncodeDocument(*db, spec);
-  ASSERT_TRUE(rep.ok());
-  // 6 distinct names: db, dept, name, emp, fn, ln.
-  EXPECT_EQ(rep->dictionary.size(), 6u);
-  // Tokenized form is much smaller than the XML text.
-  EXPECT_LT(rep->tokens.size(), xml::Serialize(*db).size());
-}
-
-TEST(InternalRepTest, KeyFilesGroupValuesByPath) {
-  keys::KeySpecSet spec = MustSpec(kCompanyKeys);
-  xml::NodePtr doc = MustParseXml(
-      "<db><dept><name>finance</name><emp><fn>John</fn><ln>Doe</ln></emp>"
-      "<emp><fn>Jane</fn><ln>Smith</ln></emp></dept></db>");
-  auto rep = EncodeDocument(*doc, spec);
-  ASSERT_TRUE(rep.ok());
-  // Key files exist for dept (name key) and emp (fn/ln key).
-  ASSERT_TRUE(rep->key_files.count("/db/dept"));
-  ASSERT_TRUE(rep->key_files.count("/db/dept/emp"));
-  const std::string& emp_file = rep->key_files.at("/db/dept/emp");
-  EXPECT_NE(emp_file.find("John"), std::string::npos);
-  EXPECT_NE(emp_file.find("Jane"), std::string::npos);
-  EXPECT_EQ(rep->key_files.count("/db"), 0u);  // {} key: no key values
-}
-
-TEST(InternalRepTest, DecodeRejectsCorrupt) {
-  InternalRep rep;
-  rep.tokens = "\x01\x05";  // open with out-of-range dictionary id
-  EXPECT_FALSE(DecodeDocument(rep).ok());
 }
 
 // ----------------------------------------------- external archiver (6.2/3)
