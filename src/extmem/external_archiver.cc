@@ -37,6 +37,15 @@ std::string CompactContent(const xml::Node& element) {
 
 }  // namespace
 
+ExternalArchiver::Options::Options() = default;
+ExternalArchiver::Options::Options(const Options&) = default;
+ExternalArchiver::Options::Options(Options&&) noexcept = default;
+ExternalArchiver::Options& ExternalArchiver::Options::operator=(
+    const Options&) = default;
+ExternalArchiver::Options& ExternalArchiver::Options::operator=(
+    Options&&) noexcept = default;
+ExternalArchiver::Options::~Options() = default;
+
 ExternalArchiver::ExternalArchiver(keys::KeySpecSet spec, Options options)
     : spec_(std::move(spec)),
       options_(std::move(options)),

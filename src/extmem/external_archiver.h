@@ -34,6 +34,16 @@ namespace xarch::extmem {
 class ExternalArchiver {
  public:
   struct Options {
+    // Special members are out of line: inlined, GCC 12 reports
+    // -Wmaybe-uninitialized on work_dir wherever a StoreOptions temporary
+    // holding these options is moved and destroyed.
+    Options();
+    Options(const Options&);
+    Options(Options&&) noexcept;
+    Options& operator=(const Options&);
+    Options& operator=(Options&&) noexcept;
+    ~Options();
+
     /// Directory for the archive and temporary run files.
     std::string work_dir = "/tmp/xarch_extmem";
     /// File system the rows live on; nullptr = the real disk

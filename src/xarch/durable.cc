@@ -124,7 +124,7 @@ StatusOr<ShardManifest> DecodeManifest(std::string_view bytes) {
 }
 
 std::string ShardDirName(size_t shard) {
-  char buf[16];
+  char buf[32];  // room for any size_t
   std::snprintf(buf, sizeof(buf), "shard-%03zu", shard);
   return buf;
 }

@@ -66,7 +66,9 @@ TEST_P(TreePropertyTest, CanonicalEqualIffValueEqual) {
     EXPECT_EQ(value_equal, canon_equal);
     bool fp_equal =
         xml::Fingerprint(*a).ToHex() == xml::Fingerprint(*b).ToHex();
-    if (value_equal) EXPECT_TRUE(fp_equal);
+    if (value_equal) {
+      EXPECT_TRUE(fp_equal);
+    }
   }
 }
 

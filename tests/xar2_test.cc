@@ -97,17 +97,12 @@ std::unique_ptr<Store> MakeLiveStore(const std::string& backend,
   return out;
 }
 
-// Named default tuning: a braced StoreOptions temporary makes GCC 12 warn
-// -Wmaybe-uninitialized about StoreOptions::extmem.work_dir.
 StatusOr<std::unique_ptr<Store>> OpenMapped(const std::string& path) {
-  StoreOptions tuning;
-  return StoreRegistry::Open(path, std::move(tuning), vfs::Vfs::Mmap());
+  return StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
 }
 
 StatusOr<std::unique_ptr<Store>> OpenBytes(std::string bytes) {
-  StoreOptions tuning;
-  return StoreRegistry::Global().OpenFromBytes(std::move(bytes),
-                                               std::move(tuning));
+  return StoreRegistry::Global().OpenFromBytes(std::move(bytes));
 }
 
 StatusOr<std::string> RunQuery(Store& store, const std::string& q) {
@@ -566,7 +561,9 @@ TEST_P(Xar2FormatTest, Xar1FixtureSavesAsXar2AfterAppend) {
     auto a = RunQuery(*live, q);
     auto b = RunQuery(mapped, q);
     ASSERT_EQ(a.status().ToString(), b.status().ToString()) << q;
-    if (a.ok()) EXPECT_EQ(*a, *b) << q;
+    if (a.ok()) {
+      EXPECT_EQ(*a, *b) << q;
+    }
   }
 }
 
