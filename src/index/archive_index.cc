@@ -1,6 +1,7 @@
 #include "index/archive_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <numeric>
 
@@ -391,6 +392,7 @@ size_t ArchiveIndex::TreeNodeCount() const {
 }
 
 std::string ArchiveIndex::EncodePages(core::FlatArchiveEncoder* encoder) const {
+  assert(flat_ == nullptr);  // a mapped store saves its file as it is
   std::string out(WordBytes(words_.data(), words_.size()));
   const size_t blob_at = out.size() - blob_.size();
   Entry entry;
