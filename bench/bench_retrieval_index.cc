@@ -5,10 +5,12 @@
 // timestamp trees prune most of the archive: probes track
 // 2α-1+2α·log(k/α) rather than the full child count.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/archive.h"
 #include "index/archive_index.h"
@@ -17,6 +19,26 @@
 #include "query/parser.h"
 #include "query/planner.h"
 #include "synth/omim.h"
+
+namespace {
+
+/// Runs `fn`, appending its wall time in microseconds to `*samples`.
+template <typename Fn>
+xarch::Status Timed(std::vector<double>* samples, Fn fn) {
+  const auto start = std::chrono::steady_clock::now();
+  xarch::Status status = fn();
+  samples->push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  return status;
+}
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace xarch;
@@ -54,24 +76,45 @@ int main(int argc, char** argv) {
         query::MakePlan(*ast, query::Access::kArchiveIndexed);
     const query::Plan scan_plan =
         query::MakePlan(std::move(*ast), query::Access::kArchiveScan);
-    StringSink indexed, scanned;
+    // Each side runs kRepeats times, alternating which goes first, and
+    // reports its median: one timed pass swings with cache state and with
+    // other load on the machine by more than the index saves.
+    constexpr int kRepeats = 9;
+    std::vector<double> indexed_runs, scan_runs;
     query::EvalResult result;
-    auto t0 = std::chrono::steady_clock::now();
-    Status indexed_status =
-        query::Evaluate(indexed_plan, archive, &idx, indexed, &result);
-    auto t1 = std::chrono::steady_clock::now();
-    Status scan_status =
-        query::Evaluate(scan_plan, archive, nullptr, scanned, nullptr);
-    auto t2 = std::chrono::steady_clock::now();
-    if (!indexed_status.ok() || !scan_status.ok() ||
-        indexed.data() != scanned.data()) {
-      std::fprintf(stderr, "retrieval failed or differs at version %u\n", v);
-      return 1;
+    for (int r = 0; r < kRepeats; ++r) {
+      StringSink indexed, scanned;
+      query::EvalResult run_result;
+      Status indexed_status, scan_status;
+      auto run_indexed = [&] {
+        indexed_status = Timed(&indexed_runs, [&] {
+          return query::Evaluate(indexed_plan, archive, &idx, indexed,
+                                 &run_result);
+        });
+      };
+      auto run_scan = [&] {
+        scan_status = Timed(&scan_runs, [&] {
+          return query::Evaluate(scan_plan, archive, nullptr, scanned,
+                                 nullptr);
+        });
+      };
+      if (r % 2 == 0) {
+        run_indexed();
+        run_scan();
+      } else {
+        run_scan();
+        run_indexed();
+      }
+      if (!indexed_status.ok() || !scan_status.ok() ||
+          indexed.data() != scanned.data()) {
+        std::fprintf(stderr, "retrieval failed or differs at version %u\n",
+                     v);
+        return 1;
+      }
+      result = run_result;
     }
-    double indexed_us =
-        std::chrono::duration<double, std::micro>(t1 - t0).count();
-    double scan_us =
-        std::chrono::duration<double, std::micro>(t2 - t1).count();
+    const double indexed_us = Median(indexed_runs);
+    const double scan_us = Median(scan_runs);
     std::printf("%-8u %14zu %18zu %14.1f %14.1f\n", v,
                 result.probes.tree_probes, full_scan_nodes, scan_us,
                 indexed_us);

@@ -67,12 +67,15 @@ Status ScanCursor::WriteInner(const ArchiveView& view,
   const size_t child_count = view.ChildCount(node);
   if (stats_ != nullptr) stats_->naive_probes += child_count;
   // The relevant children: timestamp-tree pruned when a selector is
-  // installed, per-child timestamp checks otherwise.
-  std::vector<size_t> relevant;
+  // installed, per-child timestamp checks otherwise. The buffer belongs to
+  // this nesting level; deeper levels fill their own while it is read.
   bool pruned = false;
   if (selector_) {
+    if (relevant_.size() <= static_cast<size_t>(depth)) {
+      relevant_.resize(static_cast<size_t>(depth) + 1);
+    }
     size_t probes = 0;
-    pruned = selector_(node, v, &relevant, &probes);
+    pruned = selector_(node, v, &relevant_[depth], &probes);
     if (stats_ != nullptr) stats_->tree_probes += probes;
   }
   bool any = false;
@@ -86,8 +89,10 @@ Status ScanCursor::WriteInner(const ArchiveView& view,
     return MaybeFlush();
   };
   if (pruned) {
-    for (size_t child_index : relevant) {
-      XARCH_RETURN_NOT_OK(write_child(view.Child(node, child_index)));
+    // Indexed, not iterated: a deeper level may grow relevant_ and move
+    // this level's vector.
+    for (size_t i = 0; i < relevant_[depth].size(); ++i) {
+      XARCH_RETURN_NOT_OK(write_child(view.Child(node, relevant_[depth][i])));
     }
   } else {
     for (size_t i = 0; i < child_count; ++i) {

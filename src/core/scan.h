@@ -28,8 +28,9 @@ struct ScanStats {
 /// Consumes the next chunk of serialized output.
 using ScanEmit = std::function<Status(std::string_view chunk)>;
 
-/// Optional pruning hook: fills `*relevant` with the indices of `node`'s
-/// children active at version v (in child order) and returns true, or
+/// Optional pruning hook: replaces `*relevant`'s contents with the indices
+/// of `node`'s children active at version v (in child order; the cursor
+/// reuses the vector across calls) and returns true, or
 /// returns false to make the cursor fall back to scanning all children
 /// with per-child timestamp checks. `*probes` receives the number of nodes
 /// the hook inspected. The node comes as the view's NodeId, so one hook
@@ -93,6 +94,9 @@ class ScanCursor {
   ChildSelector selector_;
   ScanStats* stats_ = nullptr;
   std::string buffer_;
+  /// The selector's output, one buffer per nesting depth, kept across
+  /// nodes so a pruned scan allocates only while the buffers grow.
+  std::vector<std::vector<size_t>> relevant_;
 };
 
 }  // namespace xarch::core

@@ -296,8 +296,8 @@ bool ArchiveIndex::EntryAt(uint32_t page, Entry* entry) const {
   return true;
 }
 
-std::vector<size_t> ArchiveIndex::TreeLookup(const Entry& entry, Version v,
-                                             size_t* probes) const {
+void ArchiveIndex::TreeLookup(const Entry& entry, Version v, size_t* probes,
+                              std::vector<size_t>* hits) const {
   // The TimestampTree records, fed to TimestampTree's own search.
   struct Records {
     const ArchiveIndex& index;
@@ -309,9 +309,8 @@ std::vector<size_t> ArchiveIndex::TreeLookup(const Entry& entry, Version v,
     int Right(int id) const { return TreeI32(tree, id, 4); }
     size_t LeafLo(int id) const { return TreeU32(tree, id, 1); }
   };
-  return BudgetedTreeLookup(Records{*this, entry.tree}, entry.root,
-                            entry.leaf_count, v, probes,
-                            2 * size_t{entry.leaf_count});
+  BudgetedTreeLookup(Records{*this, entry.tree}, entry.root, entry.leaf_count,
+                     v, probes, 2 * size_t{entry.leaf_count}, hits);
 }
 
 bool ArchiveIndex::RelevantChildren(NodeId node, Version v,
@@ -320,7 +319,7 @@ bool ArchiveIndex::RelevantChildren(NodeId node, Version v,
   uint32_t page;
   Entry entry;
   if (!PageId(node, &page) || !EntryAt(page, &entry)) return false;
-  *relevant = TreeLookup(entry, v, probes);
+  TreeLookup(entry, v, probes, relevant);
   return true;
 }
 

@@ -83,11 +83,11 @@ class ArchiveIndex {
   uint64_t built_at_generation() const { return built_at_generation_; }
 
   /// The ScanCursor hook (the Sec. 7.1 search applied below any archive
-  /// node): fills `*relevant` with the indices of `node`'s children whose
-  /// timestamp contains v, via the node's timestamp tree, and returns
-  /// true. Returns false when `node` is not indexed (frontier nodes),
-  /// directing the caller to a full child scan. `*probes` receives the
-  /// tree nodes inspected.
+  /// node): replaces `*relevant`'s contents (reusing its capacity) with
+  /// the indices of `node`'s children whose timestamp contains v, via the
+  /// node's timestamp tree, and returns true. Returns false when `node` is
+  /// not indexed (frontier nodes), directing the caller to a full child
+  /// scan. `*probes` receives the tree nodes inspected.
   bool RelevantChildren(NodeId node, Version v, std::vector<size_t>* relevant,
                         size_t* probes) const;
 
@@ -132,8 +132,8 @@ class ArchiveIndex {
   /// Parses page `page`'s entry; false when the node is not indexed.
   bool EntryAt(uint32_t page, Entry* entry) const;
   bool StampContains(uint32_t stamp, Version v) const;
-  std::vector<size_t> TreeLookup(const Entry& entry, Version v,
-                                 size_t* probes) const;
+  void TreeLookup(const Entry& entry, Version v, size_t* probes,
+                  std::vector<size_t>* hits) const;
   uint32_t AddStamp(const VersionSet& stamp);
 
   std::string_view offsets_;  // u32 entry_offsets[node_count + 1]

@@ -44,8 +44,10 @@ std::vector<size_t> TimestampTree::Lookup(Version v, size_t* probes,
     int Right(int id) const { return nodes[id].right; }
     size_t LeafLo(int id) const { return nodes[id].leaf_lo; }
   };
-  return BudgetedTreeLookup(Records{nodes_}, root_, leaf_count_, v, probes,
-                            probe_budget);
+  std::vector<size_t> hits;
+  BudgetedTreeLookup(Records{nodes_}, root_, leaf_count_, v, probes,
+                     probe_budget, &hits);
+  return hits;
 }
 
 }  // namespace xarch::index

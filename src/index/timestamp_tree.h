@@ -17,46 +17,53 @@ namespace xarch::index {
 ///
 /// Iterative DFS from `root` (-1: empty tree). When the probe count reaches
 /// `probe_budget` at an inner node, the descent is abandoned and the
-/// leaves are scanned directly; the answer is identical either way.
+/// leaves are scanned directly; the answer is identical either way. The
+/// hits replace `*hits`, whose capacity is reused, so a caller that keeps
+/// one vector across lookups allocates nothing once it has grown.
 template <typename Records>
-std::vector<size_t> BudgetedTreeLookup(const Records& records, int root,
-                                       size_t leaf_count, Version v,
-                                       size_t* probes, size_t probe_budget) {
-  std::vector<size_t> hits;
+void BudgetedTreeLookup(const Records& records, int root, size_t leaf_count,
+                        Version v, size_t* probes, size_t probe_budget,
+                        std::vector<size_t>* hits) {
+  hits->clear();
   size_t probe_count = 0;
   if (root >= 0) {
+    // The DFS stack holds one pending right child per level of the current
+    // path plus the node being expanded: tree height + 1 entries. A tree
+    // paired bottom-up over a u32 leaf count is at most 33 levels high, so
+    // a deeper stack means malformed records; the leaf scan answers those.
+    constexpr size_t kMaxPending = 34;
+    int pending[kMaxPending] = {};
+    size_t depth = 0;
+    pending[depth++] = root;
     bool budget_hit = false;
-    std::vector<int> pending = {root};
-    while (!pending.empty()) {
-      const int id = pending.back();
-      pending.pop_back();
+    while (depth > 0) {
+      const int id = pending[--depth];
       ++probe_count;
       if (!records.Contains(id, v)) continue;
       const int left = records.Left(id);
       if (left < 0) {
-        hits.push_back(records.LeafLo(id));
+        hits->push_back(records.LeafLo(id));
         continue;
       }
-      if (probe_count >= probe_budget) {
+      if (probe_count >= probe_budget || depth + 2 > kMaxPending) {
         budget_hit = true;
         break;
       }
       // Right pushed first so the left child pops first (in-order hits).
-      pending.push_back(records.Right(id));
-      pending.push_back(left);
+      pending[depth++] = records.Right(id);
+      pending[depth++] = left;
     }
     if (budget_hit) {
-      hits.clear();
+      hits->clear();
       for (size_t i = 0; i < leaf_count; ++i) {
         ++probe_count;
-        if (records.Contains(static_cast<int>(i), v)) hits.push_back(i);
+        if (records.Contains(static_cast<int>(i), v)) hits->push_back(i);
       }
     } else {
-      std::sort(hits.begin(), hits.end());
+      std::sort(hits->begin(), hits->end());
     }
   }
   if (probes != nullptr) *probes = probe_count;
-  return hits;
 }
 
 /// \brief The timestamp binary tree of Sec. 7.1.

@@ -82,6 +82,14 @@ StatusOr<std::vector<std::string>> ShardRouter::SplitDocument(
     roots.push_back(std::move(root));
   }
   for (const keys::KeyedNode& child : annotated.children) {
+    if (!child.label.parts.empty() && TagAlone(doc->tag(), child.label.tag)) {
+      // Extra attributes fold into the label, so this element's shard is
+      // not the one its tag names, and a query routed by tag would miss it.
+      return Status::KeyViolation(
+          "top-level element " + child.label.ToString() +
+          " is keyed by its tag alone ({}) but carries attributes; a "
+          "sharded store routes such elements by tag and refuses them");
+    }
     auto it = owned.find(child.node);
     if (it == owned.end() || it->second == nullptr) {
       return Status::Corruption("annotated child is not a document child");
@@ -100,14 +108,17 @@ std::vector<size_t> ShardRouter::CandidateShards(
   // Stored label parts are in canonical form: attribute paths ("@id")
   // keep the raw attribute text, element/content paths store the
   // canonical list form, which for plain text is "T" + text. A query
-  // value is matched against both (FindChildByKeyStep), so each
-  // non-attribute part doubles the candidate labels.
+  // value is matched against both (FindChildByKeyStep). A canonical list
+  // is empty or starts with a text ('T') or element ('<') marker, so only
+  // a value of that shape doubles the candidate labels.
   std::vector<keys::Label> candidates(1);
   candidates[0].tag = step.tag;
   for (const auto& [path, value] : step.key) {
     const bool attribute = !path.empty() && path[0] == '@';
+    const bool text_only = !attribute && !value.empty() && value[0] != 'T' &&
+                           value[0] != '<';
     const size_t n = candidates.size();
-    if (!attribute) {
+    if (!attribute && !text_only) {
       if (n * 2 > 8) return {};  // combinatorial blow-up: scatter instead
       candidates.reserve(n * 2);
       for (size_t i = 0; i < n; ++i) {
@@ -117,7 +128,7 @@ std::vector<size_t> ShardRouter::CandidateShards(
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      candidates[i].parts.push_back({path, value});
+      candidates[i].parts.push_back({path, text_only ? "T" + value : value});
     }
   }
   std::vector<size_t> shards;
@@ -134,6 +145,18 @@ std::vector<size_t> ShardRouter::CandidateShards(
   }
   std::sort(shards.begin(), shards.end());
   return shards;
+}
+
+bool ShardRouter::TagAlone(const std::string& root_tag,
+                           const std::string& tag) const {
+  const keys::Key* key = spec_.Lookup({root_tag, tag});
+  return key != nullptr && key->key_paths.empty();
+}
+
+bool ShardRouter::NamesOneLabel(const std::string& root_tag,
+                                const query::Step& step) const {
+  if (step.keyed()) return true;
+  return !step.wildcard && TagAlone(root_tag, step.tag);
 }
 
 }  // namespace xarch

@@ -9,6 +9,7 @@
 #include "core/archive.h"
 #include "keys/annotate.h"
 #include "keys/key_spec.h"
+#include "query/ast.h"
 #include "util/status.h"
 
 namespace xarch {
@@ -62,23 +63,42 @@ class ShardRouter {
   /// Within a shard, children appear in (fingerprint, label) order.
   ///
   /// A document whose root is a frontier (no keyed children to route)
-  /// goes wholly to shard 0.
+  /// goes wholly to shard 0. A top-level element keyed by `{}` must carry
+  /// no attributes: they would fold into its label and move it off the
+  /// shard its tag names, which tag-only query routing relies on
+  /// (kKeyViolation).
   StatusOr<std::vector<std::string>> SplitDocument(
       std::string_view xml_text) const;
 
   /// The shards that could hold the top-level element a query's first
   /// keyed step names. Key values are matched against the stored
   /// *canonical* form exactly as core::FindChildByKeyStep does — a stored
-  /// part value equals either the query text or "T" + text — so each
-  /// non-attribute part contributes up to two candidate labels. Returns
-  /// the (deduplicated) shard of every candidate fingerprint; empty when
-  /// the combination count is unreasonable (callers then scatter).
+  /// part value equals either the query text or "T" + text. A stored
+  /// element-content value is a canonical list, empty or starting with
+  /// 'T' or '<', so the query text itself is a candidate only when it
+  /// has that shape: a plain value such as "finance" names one label,
+  /// other non-attribute parts up to two. Returns the (deduplicated)
+  /// shard of every candidate fingerprint; empty when the combination
+  /// count is unreasonable (callers then scatter).
   std::vector<size_t> CandidateShards(const core::KeyStep& step) const;
+
+  /// True when `step`, the step under a query's root step `root_tag`,
+  /// names exactly one top-level label, so CandidateShards can route it:
+  /// either the step is keyed, or it is a bare (non-`[*]`) tag whose spec
+  /// key is `{}` — such an element is identified by its tag alone, and
+  /// its label is the tag with no parts (SplitDocument refuses the
+  /// attributes that would add parts).
+  bool NamesOneLabel(const std::string& root_tag,
+                     const query::Step& step) const;
 
  private:
   ShardRouter(keys::KeySpecSet spec, size_t shards,
               keys::AnnotateOptions annotate)
       : spec_(std::move(spec)), shards_(shards), annotate_(annotate) {}
+
+  /// True when top-level elements `tag` under `root_tag` are keyed by
+  /// `{}`: identified by their tag alone.
+  bool TagAlone(const std::string& root_tag, const std::string& tag) const;
 
   keys::KeySpecSet spec_;
   size_t shards_ = 1;

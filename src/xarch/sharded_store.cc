@@ -387,12 +387,13 @@ Status ShardedStore::QueryImpl(std::string_view query_text, Sink& sink,
                             return query::Access::kShardScatter;
                           }));
 
-  // Routed fast path: a query whose first keyed step pins one shard is
-  // answered wholly by that shard's own (possibly indexed, streaming)
-  // plan — byte-identical because the matched subtree lives there whole
-  // and shard version numbering is global. History is excluded (its
-  // result must be clamped to the commit point, which the inner store
-  // cannot do), as is EXPLAIN (the report must show the scatter plan).
+  // Routed fast path: a query whose second step names one top-level
+  // label (ShardRouter::NamesOneLabel) that pins one shard is answered
+  // wholly by that shard's own (possibly indexed, streaming) plan —
+  // byte-identical because the matched subtree lives there whole and
+  // shard version numbering is global. History is excluded (its result
+  // must be clamped to the commit point, which the inner store cannot do;
+  // HistoryImpl routes it instead). EXPLAIN reports the shard's plan.
   const Version limit = committed();
   const query::Temporal& temporal = plan.ast.temporal;
   const bool bounded =
@@ -402,16 +403,29 @@ Status ShardedStore::QueryImpl(std::string_view query_text, Sink& sink,
         temporal.kind == query::TemporalKind::kDiff) &&
        temporal.from >= 1 && temporal.from <= limit && temporal.to >= 1 &&
        temporal.to <= limit);
-  if (!plan.ast.explain && bounded && plan.ast.steps.size() >= 2 &&
-      plan.ast.steps[1].keyed()) {
+  const std::vector<query::Step>& steps = plan.ast.steps;
+  if (bounded && steps.size() >= 2 &&
+      router_.NamesOneLabel(steps[0].tag, steps[1])) {
     std::vector<size_t> candidates =
-        router_.CandidateShards(plan.ast.steps[1].ToKeyStep());
+        router_.CandidateShards(steps[1].ToKeyStep());
     if (candidates.size() == 1) {
       const size_t s = candidates[0];
       CountRouted(s);
       // The inner store counts this evaluation in its own stats, which
       // BackendStats() sums — no CountQuery here, or it would be double.
-      return shards_[s]->Query(query_text, sink, trace);
+      if (!plan.ast.explain) return shards_[s]->Query(query_text, sink, trace);
+      // The shard's own report, with the routing under its access line.
+      StringSink shard_report;
+      XARCH_RETURN_NOT_OK(shards_[s]->Query(query_text, shard_report, trace));
+      std::string report = std::move(shard_report).Take();
+      const size_t access = report.find("\naccess: ");
+      const size_t at = access == std::string::npos
+                            ? report.size()
+                            : report.find('\n', access + 1) + 1;
+      report.insert(at, "routed: shard " + std::to_string(s) + " of " +
+                            std::to_string(shards_.size()) + "\n");
+      XARCH_RETURN_NOT_OK(sink.Append(report));
+      return sink.Flush();
     }
   }
 
@@ -500,9 +514,11 @@ Status ShardedStore::SnapshotImpl(persist::SnapshotWriter& writer) const {
   writer.Add("opts", std::move(opts));
   for (size_t s = 0; s < shards_.size(); ++s) {
     // Each shard section is the shard's own snapshot container, nested
-    // whole (it is self-describing and carries its own checksums).
+    // whole (it is self-describing and carries its own checksums) and
+    // stored raw, so a reopen restores it without an LZSS decode. Files
+    // that stored it compressed still open: the section flag says which.
     XARCH_ASSIGN_OR_RETURN(std::string bytes, shards_[s]->SaveToBytes());
-    writer.Add("shard" + std::to_string(s), std::move(bytes));
+    writer.AddRaw("shard" + std::to_string(s), std::move(bytes));
   }
   return Status::OK();
 }

@@ -45,7 +45,8 @@ struct ShardedStoreOptions {
 /// thread pool (one nested-merge pass per shard); reads scatter to the
 /// shards and concatenate the per-shard results in shard order, which the
 /// router's monotone fingerprint-range partition makes byte-identical to
-/// the unsharded store. Queries and History whose first keyed step pins a
+/// the unsharded store. Queries and History whose second step names one
+/// top-level element (a keyed step, or a tag keyed by `{}`) held by a
 /// single shard are routed to just that shard.
 ///
 /// ## Locking

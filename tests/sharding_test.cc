@@ -1,11 +1,13 @@
 // Key-space sharding: byte-parity of the sharded store against the
 // unsharded backends it wraps (ingest / retrieve / Query / History /
-// Diff), scatter/gather EXPLAIN, snapshot round-trips, per-shard metric
-// cardinality, cross-shard reader liveness with a parked ingest, and a
-// concurrency hammer for TSan.
+// Diff), query routing by keyed and tag-only top-level steps, scatter and
+// routed EXPLAIN, snapshot round-trips, per-shard metric cardinality,
+// cross-shard reader liveness with a parked ingest, and a concurrency
+// hammer for TSan.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -15,8 +17,12 @@
 
 #include "core/archive.h"
 #include "obs/metrics.h"
+#include "persist/container.h"
 #include "synth/words.h"
+#include "synth/xmark.h"
 #include "util/random.h"
+#include "vfs/mem_vfs.h"
+#include "xarch/durable.h"
 #include "xarch/shard.h"
 #include "xarch/sharded_store.h"
 #include "xarch/store.h"
@@ -174,6 +180,43 @@ TEST(ShardRouterTest, SplitRoutesEveryChildAndKeepsEveryShardAligned) {
   EXPECT_EQ(children, (*whole)->children().size());
 }
 
+TEST(ShardRouterTest, PlainKeyValuesNameTheOneShardTheSplitUses) {
+  // A stored element-content key is a canonical list ("T" + text for
+  // plain text), so a plain query value has one candidate label: the
+  // shard SplitDocument put the element on.
+  auto router = ShardRouter::Make(MustSpec(), 4, keys::AnnotateOptions{});
+  ASSERT_TRUE(router.ok());
+  std::string doc = "<db>";
+  for (int id = 1; id <= 40; ++id) {
+    doc += "<entry><id>" + std::to_string(id) + "</id></entry>";
+  }
+  auto parts = router->SplitDocument(doc + "</db>");
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  for (int id = 1; id <= 40; ++id) {
+    const std::vector<size_t> shards =
+        router->CandidateShards({"entry", {{"id", std::to_string(id)}}});
+    ASSERT_EQ(shards.size(), 1u) << "id " << id;
+    const std::string element =
+        "<id>" + std::to_string(id) + "</id>";
+    EXPECT_NE((*parts)[shards[0]].find(element), std::string::npos)
+        << "id " << id;
+  }
+  // A value that could itself be a stored canonical list keeps both
+  // candidate labels.
+  for (const char* value : {"", "T7", "<b>x</b>"}) {
+    core::KeyStep step{"entry", {{"id", value}}};
+    keys::Label text;
+    text.tag = "entry";
+    text.parts.push_back({"id", "T" + std::string(value)});
+    text.ComputeFingerprint(64);
+    const std::vector<size_t> shards = router->CandidateShards(step);
+    EXPECT_NE(std::find(shards.begin(), shards.end(),
+                        router->ShardOfFingerprint(text.fingerprint)),
+              shards.end())
+        << value;
+  }
+}
+
 TEST(ShardRouterTest, RejectsEmptySpecAndBadShardCounts) {
   EXPECT_FALSE(
       ShardRouter::Make(keys::KeySpecSet(), 2, keys::AnnotateOptions{}).ok());
@@ -302,6 +345,273 @@ TEST(ShardedStoreTest, ExplainShowsScatterPlanAndPerShardProbes) {
       << report;
 }
 
+// ------------------------------------------------- tag-only routing
+
+/// Seeded XMark versions in perfbench's corpus shape (fewer versions):
+/// `/site/regions`, `/site/people` and `/site/open_auctions` are keyed by
+/// `{}`, so each names one top-level label.
+std::vector<std::string> XMarkVersions(size_t count) {
+  synth::XMarkGenerator::Options options;
+  options.items = 5;
+  options.people = 24;
+  options.open_auctions = 20;
+  options.seed = 23;
+  synth::XMarkGenerator generator(options);
+  std::vector<std::string> out;
+  for (size_t v = 0; v < count; ++v) {
+    out.push_back(xml::Serialize(*generator.Current()));
+    generator.MutateRandom(10.0);
+  }
+  return out;
+}
+
+StoreOptions XMarkOptions() {
+  StoreOptions options;
+  auto spec = keys::ParseKeySpecSet(synth::XMarkGenerator::KeySpecText());
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  options.spec = std::move(spec).value();
+  options.use_index = true;
+  return options;
+}
+
+/// The selector of the first record with an id under `path` in `text`.
+std::string FirstRecord(const std::string& text,
+                        const std::vector<std::string>& path) {
+  auto doc = xml::Parse(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  const xml::Node* node = doc->get();
+  std::string selector = "/" + node->tag();
+  for (const std::string& tag : path) {
+    const xml::Node* next = nullptr;
+    for (const auto& child : node->children()) {
+      if (child->is_element() && child->tag() == tag) next = child.get();
+    }
+    if (next == nullptr) {
+      ADD_FAILURE() << "no <" << tag << "> under " << selector;
+      return selector;
+    }
+    node = next;
+    selector += "/" + tag;
+  }
+  for (const auto& record : node->children()) {
+    if (!record->is_element()) continue;
+    if (const std::string* id = record->FindAttr("id")) {
+      return selector + "/" + record->tag() + "[@id=\"" + *id + "\"]";
+    }
+  }
+  ADD_FAILURE() << "no record with an id under " << selector;
+  return selector;
+}
+
+/// Answer bytes, or the full status (code and message) of a failure.
+std::string Answer(Store& store, const std::string& query) {
+  StringSink sink;
+  Status status = store.Query(query, sink);
+  return status.ok() ? std::move(sink).Take() : "status:" + status.ToString();
+}
+
+/// Sums one per-shard counter family over shards [0, k).
+uint64_t ShardCounterSum(const char* family, size_t k) {
+  uint64_t total = 0;
+  for (size_t s = 0; s < k; ++s) {
+    total += obs::Registry::Default()
+                 .GetCounter(family, "shard=\"" + std::to_string(s) + "\"")
+                 ->value();
+  }
+  return total;
+}
+
+/// Checks every routed and every scattered query shape of an 8-version
+/// XMark archive against the unsharded archive.
+void ExpectXMarkRoutingParity(Store& plain, Store& sharded, size_t k,
+                              const std::vector<std::string>& versions) {
+  const Version n = static_cast<Version>(versions.size());
+  const std::string& last = versions.back();
+  const std::vector<std::string> selectors = {
+      FirstRecord(last, {"people"}),
+      FirstRecord(last, {"regions", "africa"}),
+      FirstRecord(last, {"open_auctions"}),
+      FirstRecord(versions.front(), {"people"}),
+  };
+  std::vector<std::string> routed;
+  for (const std::string& selector : selectors) {
+    for (Version v : {Version{1}, Version{4}, n}) {
+      routed.push_back(selector + " @ version " + std::to_string(v));
+    }
+    routed.push_back(selector + " @ versions 2..4");
+    routed.push_back(selector + " @ versions " + std::to_string(n - 2) +
+                     ".." + std::to_string(n));
+    routed.push_back(selector + " diff 1 " + std::to_string(n));
+    routed.push_back(selector + " diff 3 4");
+  }
+  routed.push_back("/site/people @ version 3");
+  routed.push_back("/site/regions/africa @ versions 1..2");
+  routed.push_back("/site/open_auctions diff 2 " + std::to_string(n));
+
+  // The last version's records exist there: those answers are elements.
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string query = selectors[i] + " @ version " + std::to_string(n);
+    EXPECT_EQ(Answer(sharded, query).substr(0, 1), "<") << query;
+  }
+  for (const std::string& query : routed) {
+    const uint64_t routed_before =
+        ShardCounterSum("xarch_shard_routed_queries_total", k);
+    const uint64_t scatter_before =
+        ShardCounterSum("xarch_shard_scatter_reads_total", k);
+    EXPECT_EQ(Answer(plain, query), Answer(sharded, query))
+        << "K=" << k << " query: " << query;
+    EXPECT_EQ(ShardCounterSum("xarch_shard_routed_queries_total", k),
+              routed_before + 1)
+        << "K=" << k << " query: " << query;
+    EXPECT_EQ(ShardCounterSum("xarch_shard_scatter_reads_total", k),
+              scatter_before)
+        << "K=" << k << " query: " << query;
+  }
+
+  // Still scattered: the root itself, a `[*]` top-level step, and a
+  // version past the commit point. Same bytes and status messages.
+  const std::vector<std::string> scattered = {
+      "/site @ version 2",
+      "/site/regions[*] @ version " + std::to_string(n),
+      selectors[0] + " @ version " + std::to_string(n + 1),
+      "/site/people @ versions 1.." + std::to_string(n + 1),
+  };
+  for (const std::string& query : scattered) {
+    const uint64_t routed_before =
+        ShardCounterSum("xarch_shard_routed_queries_total", k);
+    EXPECT_EQ(Answer(plain, query), Answer(sharded, query))
+        << "K=" << k << " query: " << query;
+    EXPECT_EQ(ShardCounterSum("xarch_shard_routed_queries_total", k),
+              routed_before)
+        << "K=" << k << " query: " << query;
+  }
+}
+
+TEST(ShardedRoutingTest, TagOnlyTopLevelStepsRouteOnHeapShards) {
+  const std::vector<std::string> versions = XMarkVersions(8);
+  std::unique_ptr<Store> plain = MustCreate("archive", XMarkOptions());
+  IngestHalfAndHalf(*plain, versions);
+  for (size_t k : {1, 2, 4}) {
+    StoreOptions options = XMarkOptions();
+    options.shards = k;
+    std::unique_ptr<Store> sharded = MustCreate("sharded", std::move(options));
+    IngestHalfAndHalf(*sharded, versions);
+    ExpectXMarkRoutingParity(*plain, *sharded, k, versions);
+  }
+}
+
+TEST(ShardedRoutingTest, TagOnlyTopLevelStepsRouteOnReopenedDurableShards) {
+  // A durable store with one shard is the single-WAL layout, not a
+  // sharded store; K=1 is covered on the heap.
+  const std::vector<std::string> versions = XMarkVersions(8);
+  std::unique_ptr<Store> plain = MustCreate("archive", XMarkOptions());
+  IngestHalfAndHalf(*plain, versions);
+  for (size_t k : {2, 4}) {
+    vfs::MemVfs mem;
+    auto durable_options = [&] {
+      DurableOptions options;
+      options.vfs = &mem;
+      options.shards = k;
+      options.fsync = persist::FsyncPolicy::kNever;
+      options.store = XMarkOptions();
+      return options;
+    };
+    {
+      auto store = OpenDurable("x", durable_options());
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      // Snapshot the first six versions; the last two stay in the WALs,
+      // so the reopen both restores snapshots and replays records.
+      const std::vector<std::string> first(versions.begin(),
+                                           versions.begin() + 6);
+      IngestHalfAndHalf(**store, first);
+      ASSERT_TRUE((*store)->Checkpoint().ok());
+      for (size_t i = 6; i < versions.size(); ++i) {
+        ASSERT_TRUE((*store)->Append(versions[i]).ok());
+      }
+    }
+    auto reopened = OpenDurable("x", durable_options());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_EQ((*reopened)->version_count(), versions.size());
+    ExpectXMarkRoutingParity(*plain, **reopened, k, versions);
+  }
+}
+
+TEST(ShardedRoutingTest, ExplainOfARoutedQueryReportsTheOwningShardsPlan) {
+  const std::vector<std::string> versions = XMarkVersions(4);
+  std::unique_ptr<Store> plain = MustCreate("archive", XMarkOptions());
+  StoreOptions options = XMarkOptions();
+  options.shards = 4;
+  std::unique_ptr<Store> sharded = MustCreate("sharded", std::move(options));
+  IngestHalfAndHalf(*plain, versions);
+  IngestHalfAndHalf(*sharded, versions);
+
+  const std::string person = FirstRecord(versions.back(), {"people"});
+  for (const std::string& query : std::vector<std::string>{
+           person + " @ version 3", person + " @ versions 1..4",
+           "/site/regions/africa diff 1 4"}) {
+    const uint64_t scatter_before =
+        ShardCounterSum("xarch_shard_scatter_reads_total", 4);
+    const std::string report = Answer(*sharded, "explain " + query);
+    EXPECT_EQ(ShardCounterSum("xarch_shard_scatter_reads_total", 4),
+              scatter_before)
+        << report;
+    const size_t routed = report.find("\nrouted: shard ");
+    ASSERT_NE(routed, std::string::npos) << report;
+    EXPECT_NE(report.find(" of 4\nplan:\n", routed), std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("shard-scatter"), std::string::npos) << report;
+    EXPECT_EQ(report.find("shards:"), std::string::npos) << report;
+    // The owning shard's indexed plan: the same matches and bytes as the
+    // unsharded plan, with timestamp-tree probes of its own.
+    const std::string unsharded = Answer(*plain, "explain " + query);
+    for (const char* line :
+         {"\naccess: ", "  matches:", "  bytes streamed:"}) {
+      const size_t a = report.find(line), b = unsharded.find(line);
+      ASSERT_NE(a, std::string::npos) << report;
+      ASSERT_NE(b, std::string::npos) << unsharded;
+      EXPECT_EQ(report.substr(a, report.find('\n', a + 1) - a),
+                unsharded.substr(b, unsharded.find('\n', b + 1) - b));
+    }
+  }
+  const std::string point = Answer(*sharded, "explain " + person +
+                                                 " @ version 3");
+  EXPECT_NE(point.find("access: archive-indexed\n"), std::string::npos)
+      << point;
+  EXPECT_EQ(point.find("tree probes:      0\n"), std::string::npos) << point;
+}
+
+TEST(ShardedRoutingTest, SplitRefusesAttributesOnATagKeyedTopLevelElement) {
+  // An attribute on `/site/people` (keyed by {}) would fold into its
+  // label and place it off the shard its tag names.
+  StoreOptions options = XMarkOptions();
+  options.shards = 2;
+  std::unique_ptr<Store> sharded = MustCreate("sharded", std::move(options));
+  Status refused = sharded->Append("<site><people kind=\"x\"/></site>");
+  EXPECT_EQ(refused.code(), StatusCode::kKeyViolation) << refused.ToString();
+  EXPECT_EQ(sharded->version_count(), 0u);
+  EXPECT_TRUE(sharded->Append("<site><people/></site>").ok());
+}
+
+TEST(ShardedRoutingTest, BareStepWithANonEmptyTopLevelKeyStillScatters) {
+  // `/db/entry` is keyed by {id}: a bare step names every entry, which
+  // live on every shard.
+  const std::vector<std::string> versions = CanonicalVersions(7, 4);
+  std::unique_ptr<Store> plain = MustCreate("archive", OptionsWithSpec());
+  std::unique_ptr<Store> sharded = MakeSharded("archive", 4);
+  IngestHalfAndHalf(*plain, versions);
+  IngestHalfAndHalf(*sharded, versions);
+  const uint64_t routed_before =
+      ShardCounterSum("xarch_shard_routed_queries_total", 4);
+  const uint64_t scatter_before =
+      ShardCounterSum("xarch_shard_scatter_reads_total", 4);
+  EXPECT_EQ(Answer(*plain, "/db/entry @ version 2"),
+            Answer(*sharded, "/db/entry @ version 2"));
+  EXPECT_EQ(ShardCounterSum("xarch_shard_routed_queries_total", 4),
+            routed_before);
+  EXPECT_GT(ShardCounterSum("xarch_shard_scatter_reads_total", 4),
+            scatter_before);
+}
+
 // ------------------------------------------------------- persistence
 
 TEST(ShardedStoreTest, SnapshotRoundTripsThroughTheRegistry) {
@@ -324,6 +634,32 @@ TEST(ShardedStoreTest, SnapshotRoundTripsThroughTheRegistry) {
   const std::string next = Canonical(gen.Next());
   ASSERT_TRUE((*reopened)->Append(next).ok());
   EXPECT_EQ(*(*reopened)->Retrieve(7), next);
+}
+
+TEST(ShardedStoreTest, ShardSectionsAreStoredRawAndReopenByteIdentical) {
+  std::unique_ptr<Store> sharded = MakeSharded("archive", 4);
+  IngestHalfAndHalf(*sharded, CanonicalVersions(19, 6));
+  auto bytes = sharded->SaveToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+  // Each shard's own XAR2 container lands in the file verbatim, so a
+  // reopen restores it without an LZSS decode.
+  auto view = persist::SnapshotView::OpenFromBytes(*bytes);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  for (int s = 0; s < 4; ++s) {
+    auto raw = view->RawSection("shard" + std::to_string(s));
+    ASSERT_TRUE(raw.ok()) << "shard" << s << ": " << raw.status().ToString();
+    EXPECT_EQ(raw->substr(0, 4), "XAR2") << "shard" << s;
+  }
+
+  auto reopened = StoreRegistry::Global().OpenFromBytes(*bytes);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto again = (*reopened)->SaveToBytes();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, *bytes);
+  for (Version v = 1; v <= sharded->version_count(); ++v) {
+    EXPECT_EQ(*sharded->Retrieve(v), *(*reopened)->Retrieve(v));
+  }
 }
 
 // ---------------------------------------------------------- metrics
