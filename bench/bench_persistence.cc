@@ -17,7 +17,8 @@
 // numbers measure the persistence stack, not the machine's disk. Only the
 // buffered-vs-mmap comparison touches a real temp file (it has to).
 //
-// `--smoke` shrinks the workload for CI; `--json out.json` records rows.
+// `--smoke` shrinks the workload for CI; `--json out.json` records rows,
+// each with the machine's hardware_concurrency.
 
 #include <unistd.h>
 
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compress/lzss.h"
@@ -231,6 +233,7 @@ void RunBackend(const std::string& backend,
     if (report != nullptr) {
       report->BeginRow();
       report->Add("backend", backend);
+      report->Add("hardware_concurrency", std::thread::hardware_concurrency());
       report->Add("versions", n);
       report->Add("snapshot_bytes",
                   static_cast<unsigned long long>(snapshot_bytes));
@@ -301,6 +304,7 @@ int main(int argc, char** argv) {
                 corpus.size(), compressed_bytes, mbps);
     report.BeginRow();
     report.Add("backend", "lzss-compress");
+    report.Add("hardware_concurrency", std::thread::hardware_concurrency());
     report.Add("input_bytes", static_cast<unsigned long long>(corpus.size()));
     report.Add("compressed_bytes",
                static_cast<unsigned long long>(compressed_bytes));

@@ -101,22 +101,21 @@ StatusOr<KeySpecSet> KeySpecSet::Build(std::vector<Key> keys) {
   // Add implied keys (Sec. 3): for every non-empty prefix R of a key path
   // Pi, the key (Q/Q', (R, {})) — skipped when an explicit key already
   // targets that full path.
-  auto targets_path = [&](const xml::Path& full) {
-    for (const auto& k : set.all_keys_) {
-      if (k.FullPath() == full) return true;
-    }
-    return false;
-  };
+  std::vector<xml::Path> full_paths;  // [i]: all_keys_[i].FullPath()
+  for (const auto& k : set.all_keys_) full_paths.push_back(k.FullPath());
   size_t explicit_count = set.all_keys_.size();
   for (size_t i = 0; i < explicit_count; ++i) {
     const Key key = set.all_keys_[i];  // copy: vector may reallocate
     for (const auto& kp : key.key_paths) {
       for (size_t len = 1; len <= kp.steps.size(); ++len) {
         Key implied;
-        implied.context = key.FullPath();
+        implied.context = full_paths[i];
         implied.target.steps.assign(kp.steps.begin(), kp.steps.begin() + len);
-        if (!targets_path(implied.FullPath())) {
+        xml::Path full = implied.FullPath();
+        if (std::find(full_paths.begin(), full_paths.end(), full) ==
+            full_paths.end()) {
           set.all_keys_.push_back(std::move(implied));
+          full_paths.push_back(std::move(full));
         }
       }
     }
@@ -138,12 +137,13 @@ StatusOr<KeySpecSet> KeySpecSet::Build(std::vector<Key> keys) {
     node->key = &key;  // fixed after this point: all_keys_ is not resized
   }
 
-  // Mark ancestors that have keyed descendants (frontier computation).
+  // Mark ancestors that have keyed descendants (frontier computation), and
+  // link every node to its "_" child.
   struct Marker {
     static bool Mark(TrieNode* n) {
       bool any_below = false;
       for (auto& [step, child] : n->children) {
-        (void)step;
+        if (step == "_") n->any = child.get();
         bool child_or_below = Mark(child.get()) || child->key != nullptr;
         any_below = any_below || child_or_below;
       }
@@ -155,32 +155,6 @@ StatusOr<KeySpecSet> KeySpecSet::Build(std::vector<Key> keys) {
   return set;
 }
 
-void KeySpecSet::WalkAll(const std::vector<std::string>& steps,
-                         std::vector<const TrieNode*>* out) const {
-  // Both exact and "_" wildcard branches can match the same path (e.g.
-  // (/site/regions, (africa, {})) keys the region while
-  // (/site/regions/_, (item, {id})) keys its items); all matching trie
-  // nodes must be combined, with exact matches listed first.
-  struct Walker {
-    static void Go(const TrieNode* node, const std::vector<std::string>& steps,
-                   size_t i, std::vector<const TrieNode*>* out) {
-      if (i == steps.size()) {
-        out->push_back(node);
-        return;
-      }
-      auto it = node->children.find(steps[i]);
-      if (it != node->children.end()) {
-        Go(it->second.get(), steps, i + 1, out);
-      }
-      it = node->children.find("_");
-      if (it != node->children.end()) {
-        Go(it->second.get(), steps, i + 1, out);
-      }
-    }
-  };
-  Walker::Go(root_.get(), steps, 0, out);
-}
-
 std::string KeySpecSet::ToText() const {
   std::string out;
   for (const Key& key : keys_) {
@@ -190,24 +164,39 @@ std::string KeySpecSet::ToText() const {
   return out;
 }
 
-const Key* KeySpecSet::Lookup(const std::vector<std::string>& steps) const {
-  std::vector<const TrieNode*> hits;
-  WalkAll(steps, &hits);
-  for (const TrieNode* node : hits) {
-    if (node->key != nullptr) return node->key;
+KeySpecSet::Matches KeySpecSet::Root() const {
+  Matches root;
+  root.nodes_.push_back(root_.get());
+  return root;
+}
+
+void KeySpecSet::Step(const Matches& parent, std::string_view tag,
+                      Matches* child) const {
+  child->nodes_.clear();
+  for (const TrieNode* node : parent.nodes_) {
+    auto it = node->children.find(tag);
+    if (it != node->children.end()) child->nodes_.push_back(it->second.get());
+    if (node->any != nullptr) child->nodes_.push_back(node->any);
   }
-  return nullptr;
+}
+
+KeySpecSet::Matches KeySpecSet::Walk(
+    const std::vector<std::string>& steps) const {
+  Matches at = Root();
+  Matches next;
+  for (const std::string& step : steps) {
+    Step(at, step, &next);
+    std::swap(at, next);
+  }
+  return at;
+}
+
+const Key* KeySpecSet::Lookup(const std::vector<std::string>& steps) const {
+  return Walk(steps).key();
 }
 
 bool KeySpecSet::IsFrontier(const std::vector<std::string>& steps) const {
-  std::vector<const TrieNode*> hits;
-  WalkAll(steps, &hits);
-  bool keyed = false;
-  for (const TrieNode* node : hits) {
-    if (node->key != nullptr) keyed = true;
-    if (node->has_keyed_below) return false;
-  }
-  return keyed;
+  return Walk(steps).is_frontier();
 }
 
 }  // namespace xarch::keys

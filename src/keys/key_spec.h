@@ -1,6 +1,7 @@
 #ifndef XARCH_KEYS_KEY_SPEC_H_
 #define XARCH_KEYS_KEY_SPEC_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,6 +63,23 @@ class KeySpecSet {
   /// All keys including implied ones.
   const std::vector<Key>& all_keys() const { return all_keys_; }
 
+  /// The trie nodes that match one document path. Both an exact step and
+  /// "_" can match the same path (e.g. (/site/regions, (africa, {})) keys
+  /// the region while (/site/regions/_, (item, {id})) keys its items), so a
+  /// path matches a set of nodes; exact matches come before "_" at every
+  /// level.
+  class Matches;
+
+  /// The matches of the empty path: where every walk starts.
+  Matches Root() const;
+
+  /// One step of the walk: replaces `*child` with the nodes matching
+  /// `tag` one level below `parent` — for each parent node in order, its
+  /// exact child, then its "_" child. Allocates no strings, so walking a
+  /// document costs one call per element.
+  void Step(const Matches& parent, std::string_view tag,
+            Matches* child) const;
+
   /// Returns the key applying at the full path given by `steps` (root tag
   /// first), or nullptr if nodes at that path are unkeyed.
   const Key* Lookup(const std::vector<std::string>& steps) const;
@@ -75,17 +93,44 @@ class KeySpecSet {
 
  private:
   struct TrieNode {
-    std::map<std::string, std::unique_ptr<TrieNode>> children;
+    std::map<std::string, std::unique_ptr<TrieNode>, std::less<>> children;
+    const TrieNode* any = nullptr;  // children["_"], when present
     const Key* key = nullptr;       // set when this path is keyed
     bool has_keyed_below = false;   // any keyed strict descendant?
   };
 
-  void WalkAll(const std::vector<std::string>& steps,
-               std::vector<const TrieNode*>* out) const;
+  Matches Walk(const std::vector<std::string>& steps) const;
 
   std::vector<Key> keys_;
   std::vector<Key> all_keys_;
   std::unique_ptr<TrieNode> root_;
+};
+
+class KeySpecSet::Matches {
+ public:
+  /// The key applying at the matched path (the first matched node that is
+  /// keyed), or nullptr if nodes there are unkeyed.
+  const Key* key() const {
+    for (const TrieNode* node : nodes_) {
+      if (node->key != nullptr) return node->key;
+    }
+    return nullptr;
+  }
+
+  /// True if the matched path is a frontier path: keyed, with no keyed
+  /// proper descendants (Sec. 3).
+  bool is_frontier() const {
+    bool keyed = false;
+    for (const TrieNode* node : nodes_) {
+      if (node->key != nullptr) keyed = true;
+      if (node->has_keyed_below) return false;
+    }
+    return keyed;
+  }
+
+ private:
+  friend class KeySpecSet;
+  std::vector<const TrieNode*> nodes_;
 };
 
 /// \brief Parses a key-specification file in the Appendix B format: one key

@@ -42,28 +42,23 @@ void Md5Hasher::ProcessBlock(const uint8_t* block) {
            (static_cast<uint32_t>(block[i * 4 + 3]) << 24);
   }
   uint32_t a = a_, b = b_, c = c_, d = d_;
-  for (int i = 0; i < 64; ++i) {
-    uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    uint32_t temp = d;
+  auto step = [&](uint32_t f, int i, int g) {
+    const uint32_t b_next = b + RotL(a + f + kMd5K[i] + m[g], kMd5Shift[i]);
+    a = d;
     d = c;
     c = b;
-    b = b + RotL(a + f + kMd5K[i] + m[g], kMd5Shift[i]);
-    a = temp;
-  }
+    b = b_next;
+  };
+  // One loop per round with its auxiliary function inlined; unrolled, every
+  // index, constant and shift is a compile-time constant.
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) step(d ^ (b & (c ^ d)), i, i);
+#pragma GCC unroll 16
+  for (int i = 16; i < 32; ++i) step(c ^ (d & (b ^ c)), i, (5 * i + 1) % 16);
+#pragma GCC unroll 16
+  for (int i = 32; i < 48; ++i) step(b ^ c ^ d, i, (3 * i + 5) % 16);
+#pragma GCC unroll 16
+  for (int i = 48; i < 64; ++i) step(c ^ (b | ~d), i, (7 * i) % 16);
   a_ += a;
   b_ += b;
   c_ += c;

@@ -20,33 +20,42 @@ constexpr const char* kSnapshotFile = "snapshot.xar";
 constexpr const char* kLogFile = "ingest.log";
 constexpr const char* kManifestFile = "MANIFEST";
 
-Status ApplyRecord(Store& store, const persist::LogRecord& record) {
-  switch (record.type) {
-    case persist::LogRecord::kAppend:
-      if (record.texts.size() != 1) {
-        return Status::DataLoss("append log record carries " +
-                                std::to_string(record.texts.size()) +
-                                " documents");
+/// Replay applies each run of consecutive logged ingests with one
+/// AppendBatch: one parse of every document, one merge pass and one index
+/// publish per run. A run also ends once its logged XML reaches this many
+/// bytes, so replay holds a bounded number of parsed documents at once.
+constexpr uint64_t kReplayRunBytes = uint64_t{8} << 20;
+
+/// The ingest records of one replay run, not yet applied.
+struct ReplayRun {
+  std::vector<std::string_view> texts;
+  Version first_version = 0;
+  uint64_t bytes = 0;
+
+  /// Applies the run to `store` as one batch (or document by document when
+  /// the backend has no batch ingest) and empties it.
+  Status Apply(Store& store) {
+    if (texts.empty()) return Status::OK();
+    Status applied = Status::OK();
+    if (store.Has(kBatchIngest)) {
+      applied = store.AppendBatch(texts);
+    } else {
+      for (std::string_view text : texts) {
+        applied = store.Append(text);
+        if (!applied.ok()) break;
       }
-      return store.Append(record.texts[0]);
-    case persist::LogRecord::kBatch: {
-      if (store.Has(kBatchIngest)) {
-        std::vector<std::string_view> views(record.texts.begin(),
-                                            record.texts.end());
-        return store.AppendBatch(views);
-      }
-      for (const std::string& text : record.texts) {
-        XARCH_RETURN_NOT_OK(store.Append(text));
-      }
-      return Status::OK();
     }
-    case persist::LogRecord::kCheckpoint:
-      // Re-forcing a boundary that is already pending is a no-op, which
-      // is what makes checkpoint replay idempotent.
-      return store.Has(kCheckpoint) ? store.Checkpoint() : Status::OK();
+    if (!applied.ok()) {
+      return Status::DataLoss(
+          "ingest log records for versions " + std::to_string(first_version) +
+          "-" + std::to_string(first_version + texts.size() - 1) +
+          " do not re-apply: " + applied.ToString());
+    }
+    texts.clear();
+    bytes = 0;
+    return Status::OK();
   }
-  return Status::DataLoss("unknown log record type");
-}
+};
 
 // ------------------------------------------------- sharded layout support
 
@@ -331,6 +340,7 @@ StatusOr<std::unique_ptr<DurableStore>> DurableStore::Open(
   size_t kept_records = 0;
   uint64_t kept_bytes = persist::kIngestLogHeaderBytes;
   bool clamped = false;
+  ReplayRun run;
   for (const persist::LogRecord& record : replay.records) {
     if (options.bound_replay) {
       // A checkpoint marker carries the version the NEXT ingest would
@@ -348,30 +358,71 @@ StatusOr<std::unique_ptr<DurableStore>> DurableStore::Open(
     }
     ++kept_records;
     kept_bytes = record.end_offset;
-    if (record.first_version <= inner->version_count()) {
+    // The versions the store holds once the pending run is applied.
+    const Version held =
+        inner->version_count() + static_cast<Version>(run.texts.size());
+    if (record.first_version <= held) {
       // Already inside the snapshot (crash before log truncate). This
       // covers checkpoint markers too: a marker at first_version <= count
       // forced a boundary the snapshot has since captured — re-applying
       // it would start a spurious segment.
       continue;
     }
-    if (record.first_version != inner->version_count() + 1) {
+    if (record.first_version != held + 1) {
       // A gap means a version was applied but never reached the log
       // (e.g. a transient log-write failure): replaying the later
       // records would silently renumber them. Refuse instead.
       return Status::DataLoss(
           "ingest log gap: next record is for version " +
           std::to_string(record.first_version) + " but the store holds " +
-          std::to_string(inner->version_count()) + " versions");
+          std::to_string(held) + " versions");
     }
-    Status applied = ApplyRecord(*inner, record);
-    if (!applied.ok()) {
-      return Status::DataLoss(
-          "ingest log record for version " +
-          std::to_string(record.first_version) +
-          " does not re-apply: " + applied.ToString());
+    switch (record.type) {
+      case persist::LogRecord::kAppend:
+      case persist::LogRecord::kBatch: {
+        if (record.type == persist::LogRecord::kAppend &&
+            record.texts.size() != 1) {
+          return Status::DataLoss(
+              "ingest log record for version " +
+              std::to_string(record.first_version) + " carries " +
+              std::to_string(record.texts.size()) +
+              " documents; an append record carries one");
+        }
+        uint64_t record_bytes = 0;
+        for (const std::string& text : record.texts) {
+          record_bytes += text.size();
+        }
+        if (!run.texts.empty() &&
+            run.bytes + record_bytes > kReplayRunBytes) {
+          XARCH_RETURN_NOT_OK(run.Apply(*inner));
+        }
+        if (run.texts.empty()) run.first_version = record.first_version;
+        run.texts.insert(run.texts.end(), record.texts.begin(),
+                         record.texts.end());
+        run.bytes += record_bytes;
+        break;
+      }
+      case persist::LogRecord::kCheckpoint: {
+        // The marker ends the run, so segment boundaries fall where the
+        // original ingests put them. Re-forcing a boundary that is already
+        // pending is a no-op, which makes checkpoint replay idempotent.
+        XARCH_RETURN_NOT_OK(run.Apply(*inner));
+        if (inner->Has(kCheckpoint)) {
+          Status applied = inner->Checkpoint();
+          if (!applied.ok()) {
+            return Status::DataLoss(
+                "ingest log checkpoint before version " +
+                std::to_string(record.first_version) +
+                " does not re-apply: " + applied.ToString());
+          }
+        }
+        break;
+      }
+      default:
+        return Status::DataLoss("unknown log record type");
     }
   }
+  XARCH_RETURN_NOT_OK(run.Apply(*inner));
   if (clamped) {
     XARCH_RETURN_NOT_OK(vfs->Truncate(log_path, kept_bytes));
   } else if (replay.torn_tail) {

@@ -490,9 +490,8 @@ class ArchiveStore final : public Store {
  protected:
   Status AppendImpl(std::string_view xml_text) override {
     XARCH_ASSIGN_OR_RETURN(xml::NodePtr doc, xml::Parse(xml_text));
-    XARCH_RETURN_NOT_OK(Promote());
-    XARCH_RETURN_NOT_OK(archive_->AddVersion(*doc));
-    PublishIndex();
+    XARCH_RETURN_NOT_OK(
+        MergeAndPublish([&] { return archive_->AddVersion(*doc); }));
     ingest_metrics_.Record(1);
     return Status::OK();
   }
@@ -508,9 +507,8 @@ class ArchiveStore final : public Store {
       roots.push_back(doc.get());
       docs.push_back(std::move(doc));
     }
-    XARCH_RETURN_NOT_OK(Promote());
-    XARCH_RETURN_NOT_OK(archive_->AddVersions(roots));  // one merge pass
-    PublishIndex();
+    XARCH_RETURN_NOT_OK(MergeAndPublish(
+        [&] { return archive_->AddVersions(roots); }));  // one merge pass
     ingest_metrics_.Record(xml_texts.size());
     return Status::OK();
   }
@@ -678,16 +676,29 @@ class ArchiveStore final : public Store {
     return archive.ToXml(options);
   }
 
+  /// The ingest step after parsing: promotes a mapped store to the heap,
+  /// runs `merge` on the heap archive, and publishes the index once. A
+  /// failed merge leaves the archive unchanged (key violations are
+  /// rejected atomically), so the index is rebuilt only when the store was
+  /// promoted just now and has none yet.
+  template <typename Merge>
+  Status MergeAndPublish(Merge merge) {
+    XARCH_RETURN_NOT_OK(Promote());
+    Status merged = merge();
+    if (merged.ok() || index_ == nullptr) PublishIndex();
+    return merged;
+  }
+
   /// Writes stay heap: the first ingest into a mapped store decodes the
-  /// archive from the flat records, drops the mapping, and publishes the
-  /// heap index. Runs under the exclusive lock every ingest holds, so no
-  /// reader sees the switch; on a decode error the store stays mapped.
+  /// archive from the flat records and drops the mapping; the ingest then
+  /// publishes the heap index after its merge. Runs under the exclusive
+  /// lock every ingest holds, so no reader sees the switch; on a decode
+  /// error the store stays mapped.
   Status Promote() {
     if (mapping_ == nullptr) return Status::OK();
     XARCH_ASSIGN_OR_RETURN(archive_, HeapArchive());
     mapping_.reset();
     heap_view_ = core::HeapArchiveView(archive_.get());
-    PublishIndex();
     return Status::OK();
   }
 

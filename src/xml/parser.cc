@@ -1,6 +1,6 @@
 #include "xml/parser.h"
 
-#include <cctype>
+#include <cstring>
 #include <string>
 
 #include "util/strings.h"
@@ -9,7 +9,32 @@ namespace xarch::xml {
 
 namespace {
 
-/// Recursive-descent XML parser over a string_view.
+/// ASCII character classes. No locale is ever set, so these agree with
+/// <cctype> in the "C" locale, without a call per character.
+struct CharClasses {
+  bool space[256] = {};
+  bool name_start[256] = {};
+  bool name_char[256] = {};
+
+  constexpr CharClasses() {
+    for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) space[c] = true;
+    for (int c = 0; c < 256; ++c) {
+      const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+      const bool digit = c >= '0' && c <= '9';
+      name_start[c] = alpha || c == '_' || c == ':';
+      name_char[c] = alpha || digit || c == '_' || c == ':' || c == '-' ||
+                     c == '.';
+    }
+  }
+};
+constexpr CharClasses kClasses;
+
+bool IsClass(const bool (&table)[256], char c) {
+  return table[static_cast<unsigned char>(c)];
+}
+
+/// Recursive-descent XML parser over a string_view. Character data and
+/// attribute values are copied in runs up to the next delimiter.
 class Parser {
  public:
   Parser(std::string_view input, const ParseOptions& options)
@@ -37,7 +62,26 @@ class Parser {
     return in_.substr(pos_, s.size()) == s;
   }
   void SkipWs() {
-    while (!Eof() && std::isspace(static_cast<unsigned char>(Peek()))) ++pos_;
+    while (!Eof() && IsClass(kClasses.space, Peek())) ++pos_;
+  }
+
+  /// Offset of the first `a` or `b` at or after pos_, or in_.size().
+  size_t FindEither(char a, char b) const {
+    const char* begin = in_.data() + pos_;
+    size_t n = in_.size() - pos_;
+    if (const void* hit = std::memchr(begin, a, n)) {
+      n = static_cast<size_t>(static_cast<const char*>(hit) - begin);
+    }
+    if (const void* hit = std::memchr(begin, b, n)) {
+      n = static_cast<size_t>(static_cast<const char*>(hit) - begin);
+    }
+    return pos_ + n;
+  }
+
+  /// Appends in_[pos_, end) to `out` in one piece and moves past it.
+  void TakeRun(size_t end, std::string* out) {
+    out->append(in_.data() + pos_, end - pos_);
+    pos_ = end;
   }
 
   void SkipProlog() {
@@ -80,22 +124,14 @@ class Parser {
     }
   }
 
-  static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  }
-  static bool IsNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == ':' || c == '-' || c == '.';
-  }
-
-  StatusOr<std::string> ParseName() {
-    if (Eof() || !IsNameStart(Peek())) {
+  StatusOr<std::string_view> ParseName() {
+    if (Eof() || !IsClass(kClasses.name_start, Peek())) {
       return Status::ParseError("expected name at offset " +
                                 std::to_string(pos_));
     }
     size_t start = pos_;
-    while (!Eof() && IsNameChar(Peek())) ++pos_;
-    return std::string(in_.substr(start, pos_ - start));
+    while (!Eof() && IsClass(kClasses.name_char, Peek())) ++pos_;
+    return in_.substr(start, pos_ - start);
   }
 
   Status DecodeEntity(std::string* out) {
@@ -158,12 +194,10 @@ class Parser {
     char quote = Peek();
     ++pos_;
     std::string value;
-    while (!Eof() && Peek() != quote) {
-      if (Peek() == '&') {
-        XARCH_RETURN_NOT_OK(DecodeEntity(&value));
-      } else {
-        value.push_back(in_[pos_++]);
-      }
+    for (;;) {
+      TakeRun(FindEither(quote, '&'), &value);
+      if (Eof() || Peek() == quote) break;
+      XARCH_RETURN_NOT_OK(DecodeEntity(&value));
     }
     if (Eof()) {
       return Status::ParseError("unterminated attribute value");
@@ -175,18 +209,18 @@ class Parser {
   StatusOr<NodePtr> ParseElement() {
     // pos_ is at '<'.
     ++pos_;
-    XARCH_ASSIGN_OR_RETURN(std::string tag, ParseName());
-    NodePtr element = Node::Element(std::move(tag));
+    XARCH_ASSIGN_OR_RETURN(std::string_view tag, ParseName());
+    NodePtr element = Node::Element(std::string(tag));
     // Attributes.
     for (;;) {
       SkipWs();
       if (Eof()) return Status::ParseError("unterminated start tag");
       if (Peek() == '>' || LookingAt("/>")) break;
-      XARCH_ASSIGN_OR_RETURN(std::string name, ParseName());
+      XARCH_ASSIGN_OR_RETURN(std::string_view name, ParseName());
       SkipWs();
       if (Eof() || Peek() != '=') {
         return Status::ParseError("expected '=' after attribute name '" +
-                                  name + "'");
+                                  std::string(name) + "'");
       }
       ++pos_;
       SkipWs();
@@ -195,8 +229,9 @@ class Parser {
       // Overwriting silently would also break round-trip stability, which
       // the persistence layer depends on.
       if (element->FindAttr(name) != nullptr) {
-        return Status::ParseError("duplicate attribute '" + name +
-                                  "' on <" + element->tag() + ">");
+        return Status::ParseError("duplicate attribute '" +
+                                  std::string(name) + "' on <" +
+                                  element->tag() + ">");
       }
       element->SetAttr(name, value);
     }
@@ -205,38 +240,45 @@ class Parser {
       return element;
     }
     ++pos_;  // '>'
-    // Content.
+    // Content: one text run collects everything between two child
+    // elements (character data, entities, CDATA); comments and PIs drop
+    // out of it without ending it.
     std::string pending_text;
     auto flush_text = [&]() {
       if (pending_text.empty()) return;
-      bool keep = !options_.skip_whitespace_text ||
-                  !IsAllWhitespace(pending_text);
-      if (keep) {
-        std::string t = options_.trim_text
-                            ? std::string(Trim(pending_text))
-                            : pending_text;
-        element->AddText(std::move(t));
+      if (!options_.skip_whitespace_text || !IsAllWhitespace(pending_text)) {
+        if (options_.trim_text) {
+          std::string_view trimmed = Trim(pending_text);
+          pending_text = std::string(trimmed);
+        }
+        element->AddText(std::move(pending_text));
       }
       pending_text.clear();
     };
     for (;;) {
+      TakeRun(FindEither('<', '&'), &pending_text);
       if (Eof()) {
         return Status::ParseError("unterminated element <" + element->tag() +
                                   ">");
       }
+      if (Peek() == '&') {
+        XARCH_RETURN_NOT_OK(DecodeEntity(&pending_text));
+        continue;
+      }
       if (LookingAt("</")) {
         flush_text();
         pos_ += 2;
-        XARCH_ASSIGN_OR_RETURN(std::string close, ParseName());
+        XARCH_ASSIGN_OR_RETURN(std::string_view close, ParseName());
         SkipWs();
         if (Eof() || Peek() != '>') {
-          return Status::ParseError("malformed end tag </" + close + ">");
+          return Status::ParseError("malformed end tag </" +
+                                    std::string(close) + ">");
         }
         ++pos_;
         if (close != element->tag()) {
           return Status::ParseError("mismatched end tag: expected </" +
-                                    element->tag() + ">, found </" + close +
-                                    ">");
+                                    element->tag() + ">, found </" +
+                                    std::string(close) + ">");
         }
         return element;
       }
@@ -265,17 +307,9 @@ class Parser {
         pos_ = end + 2;
         continue;
       }
-      if (Peek() == '<') {
-        flush_text();
-        XARCH_ASSIGN_OR_RETURN(NodePtr child, ParseElement());
-        element->AddChild(std::move(child));
-        continue;
-      }
-      if (Peek() == '&') {
-        XARCH_RETURN_NOT_OK(DecodeEntity(&pending_text));
-        continue;
-      }
-      pending_text.push_back(in_[pos_++]);
+      flush_text();
+      XARCH_ASSIGN_OR_RETURN(NodePtr child, ParseElement());
+      element->AddChild(std::move(child));
     }
   }
 

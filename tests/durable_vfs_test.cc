@@ -518,5 +518,186 @@ TEST(ShardedDurableFaultTest, EveryNthWriteFailsAndRecovers) {
   }
 }
 
+// ------------------------------------------------ coalesced replay parity
+// Reopen applies each run of consecutive logged ingests as one batch: one
+// parse per document, one merge pass and one index publish per run. The
+// reopened store must equal the store that wrote the log, byte for byte.
+
+/// Writes `records` as the whole ingest log of directory `dir`.
+void WriteLog(vfs::Vfs* vfs, const std::string& dir,
+              const std::vector<persist::LogRecord>& records) {
+  ASSERT_TRUE(vfs->CreateDirs(dir).ok());
+  auto log = persist::IngestLogWriter::Open(vfs, vfs::Join(dir, "ingest.log"),
+                                            persist::FsyncPolicy::kNever);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (const persist::LogRecord& record : records) {
+    ASSERT_TRUE(log->Append(record).ok());
+  }
+}
+
+persist::LogRecord AppendRecord(Version v, std::string text) {
+  persist::LogRecord record;
+  record.type = persist::LogRecord::kAppend;
+  record.first_version = v;
+  record.texts.push_back(std::move(text));
+  return record;
+}
+
+TEST(DurableReplayTest, AppendsAndABatchReplayAsOneMergePass) {
+  vfs::MemVfs mem;
+  std::string written;
+  {
+    DurableOptions options = Opts(&mem);
+    options.store.use_index = true;
+    auto store = OpenDurable("d", std::move(options));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Append(Doc(1)).ok());
+    ASSERT_TRUE((*store)->Append(Doc(2)).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());  // snapshot: versions 1-2
+    for (int i = 3; i <= 7; ++i) ASSERT_TRUE((*store)->Append(Doc(i)).ok());
+    const std::string d8 = Doc(8), d9 = Doc(9);
+    ASSERT_TRUE((*store)->AppendBatch({d8, d9}).ok());
+    auto bytes = (*store)->SaveToBytes();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    written = std::move(bytes).value();
+  }  // crash: the WAL tail holds 5 append records and 1 batch record
+  auto replay = persist::ReadIngestLog(&mem, "d/ingest.log");
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay->records.size(), 6u);
+
+  DurableOptions options = Opts(&mem);
+  options.store.use_index = true;
+  auto reopened = OpenDurable("d", std::move(options));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->version_count(), 9u);
+  EXPECT_EQ((*reopened)->Stats().merge_passes, 1u);  // the whole tail
+  auto bytes = (*reopened)->SaveToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_TRUE(*bytes == written) << "reopened snapshot differs";
+}
+
+TEST(DurableReplayTest, ARunEndsAtTheReplayByteBound) {
+  // Versions of ~1.2 MB each: the 8 MiB bound on a run's logged XML splits
+  // a 10-version tail into two runs, and the result is still identical.
+  auto big_doc = [](int n) {
+    std::string xml = "<db>";
+    const std::string filler(100 * 1024, static_cast<char>('a' + n % 26));
+    for (int i = 1; i <= 12; ++i) {
+      xml += "<entry><id>" + std::to_string(i) + "</id><note>" + filler +
+             std::to_string(n) + "</note></entry>";
+    }
+    return xml + "</db>";
+  };
+  vfs::MemVfs mem;
+  std::string written;
+  {
+    auto store = OpenDurable("d", Opts(&mem));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (int i = 1; i <= 10; ++i) {
+      ASSERT_TRUE((*store)->Append(big_doc(i)).ok());
+    }
+    written = *(*store)->SaveToBytes();
+  }
+  auto reopened = OpenDurable("d", Opts(&mem));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Stats().merge_passes, 2u);
+  EXPECT_TRUE(*(*reopened)->SaveToBytes() == written);
+}
+
+TEST(DurableReplayTest, CheckpointMarkerInTheTailKeepsSegmentBoundaries) {
+  vfs::MemVfs mem;
+  FaultVfs fault(&mem);
+  auto checkpoint_opts = [](vfs::Vfs* vfs) {
+    DurableOptions options = Opts(vfs);
+    options.backend = "checkpoint-archive";
+    options.store.checkpoint_every = 100;  // only forced boundaries
+    return options;
+  };
+  std::string written;
+  {
+    auto store = OpenDurable("c", checkpoint_opts(&fault));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Append(Doc(1)).ok());
+    ASSERT_TRUE((*store)->Append(Doc(2)).ok());
+    // The boundary is forced and logged, but the snapshot's rename dies:
+    // the marker stays in the WAL between the appends around it.
+    fault.FailNth(Op::kRename, 1);
+    EXPECT_FALSE((*store)->Checkpoint().ok());
+    ASSERT_TRUE((*store)->Append(Doc(3)).ok());
+    ASSERT_TRUE((*store)->Append(Doc(4)).ok());
+    EXPECT_EQ((*store)->Stats().checkpoint_segments, 2u);
+    written = *(*store)->SaveToBytes();
+  }
+  auto replay = persist::ReadIngestLog(&mem, "c/ingest.log");
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay->records.size(), 5u);
+  EXPECT_EQ(replay->records[2].type, persist::LogRecord::kCheckpoint);
+
+  auto reopened = OpenDurable("c", checkpoint_opts(&mem));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->version_count(), 4u);
+  EXPECT_EQ((*reopened)->Stats().checkpoint_segments, 2u);
+  EXPECT_TRUE(*(*reopened)->SaveToBytes() == written);
+}
+
+TEST(DurableReplayTest, ShardedReopenClampedByTheManifestDropsUncommitted) {
+  vfs::MemVfs mem;
+  FaultVfs fault(&mem);
+  {
+    auto store = OpenDurable("s", ShardedOpts(&fault, 4));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (int i = 1; i <= 5; ++i) ASSERT_TRUE((*store)->Append(Doc(i)).ok());
+    // Every shard WAL logs version 6, but its manifest commit dies.
+    fault.FailNth(Op::kRename, 1);
+    EXPECT_FALSE((*store)->Append(Doc(6)).ok());
+  }  // crash
+  auto reopened = OpenDurable("s", ShardedOpts(&mem, 4));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ((*reopened)->version_count(), 5u);
+  EXPECT_FALSE((*reopened)->Retrieve(6).ok());
+
+  vfs::MemVfs plain_mem;
+  auto plain = OpenDurable("p", Opts(&plain_mem));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE((*plain)->Append(Doc(i)).ok());
+  for (Version v = 1; v <= 5; ++v) {
+    EXPECT_EQ(*(*reopened)->Retrieve(v), *(*plain)->Retrieve(v)) << "v" << v;
+  }
+  // The clamp truncated the uncommitted records, so version 6 is new.
+  ASSERT_TRUE((*reopened)->Append(Doc(7)).ok());
+  auto again = OpenDurable("s", ShardedOpts(&mem, 4));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ((*again)->version_count(), 6u);
+  EXPECT_EQ(*(*again)->Retrieve(6), *(*reopened)->Retrieve(6));
+}
+
+TEST(DurableReplayTest, AnAppendRecordWithTwoDocumentsIsDataLoss) {
+  vfs::MemVfs mem;
+  persist::LogRecord two = AppendRecord(2, Doc(2));
+  two.texts.push_back(Doc(3));
+  WriteLog(&mem, "d", {AppendRecord(1, Doc(1)), two});
+  auto reopened = OpenDurable("d", Opts(&mem));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reopened.status().message().find("carries 2 documents"),
+            std::string::npos)
+      << reopened.status().ToString();
+}
+
+TEST(DurableReplayTest, ARunThatDoesNotReapplyNamesItsVersions) {
+  vfs::MemVfs mem;
+  const std::string duplicate_key =
+      "<db><entry><id>1</id></entry><entry><id>1</id></entry></db>";
+  WriteLog(&mem, "d",
+           {AppendRecord(1, Doc(1)), AppendRecord(2, duplicate_key),
+            AppendRecord(3, Doc(3))});
+  auto reopened = OpenDurable("d", Opts(&mem));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reopened.status().message().find("versions 1-3"),
+            std::string::npos)
+      << reopened.status().ToString();
+}
+
 }  // namespace
 }  // namespace xarch

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "keys/annotate.h"
 #include "keys/key_spec.h"
 #include "keys/label.h"
+#include "synth/omim.h"
+#include "synth/swissprot.h"
+#include "synth/xmark.h"
 #include "xml/parser.h"
 
 namespace xarch::keys {
@@ -342,6 +350,173 @@ TEST(AnnotateTest, CheckKeysAgreesWithAnnotate) {
   KeySpecSet spec = MustParseSpec(kCompanyKeys);
   EXPECT_TRUE(CheckKeys(*MustParseXml(kVersion4), spec).ok());
   EXPECT_FALSE(CheckKeys(*MustParseXml("<db><oops/></db>"), spec).ok());
+}
+
+// ------------------------------------------------- annotate walk parity
+// AnnotateKeys walks the key-spec trie one step per element; these pin
+// that the walk finds the key and frontier flag that a lookup of the
+// element's whole path finds, and that every violation reads as before.
+
+TEST(AnnotateWalkTest, ExactStepAndWildcardAtOneLevel) {
+  KeySpecSet spec = MustParseSpec(synth::XMarkGenerator::KeySpecText());
+  // africa is keyed by its exact step; the "_" step below regions keys the
+  // items inside it. Both trie branches match /site/regions/africa.
+  const Key* africa = spec.Lookup({"site", "regions", "africa"});
+  ASSERT_NE(africa, nullptr);
+  EXPECT_EQ(africa->ToString(), "(/site/regions, (africa, {}))");
+  EXPECT_FALSE(spec.IsFrontier({"site", "regions", "africa"}));
+  const Key* item = spec.Lookup({"site", "regions", "africa", "item"});
+  ASSERT_NE(item, nullptr);
+  EXPECT_EQ(item->ToString(), "(/site/regions/_, (item, {id}))");
+  EXPECT_EQ(spec.Lookup({"site", "regions", "atlantis"}), nullptr);
+  EXPECT_NE(spec.Lookup({"site", "regions", "atlantis", "item"}), nullptr);
+  EXPECT_TRUE(spec.IsFrontier({"site", "regions", "asia", "item", "name"}));
+
+  KeySpecSet::Matches at = spec.Root();
+  KeySpecSet::Matches next;
+  for (const char* step : {"site", "regions", "africa"}) {
+    spec.Step(at, step, &next);
+    std::swap(at, next);
+  }
+  EXPECT_EQ(at.key(), africa);
+  EXPECT_FALSE(at.is_frontier());
+
+  xml::NodePtr doc = MustParseXml(
+      "<site><regions><africa><item id='i2'><name>b</name></item>"
+      "<item id='i1'><name>a</name></item></africa>"
+      "<atlantis><item id='i3'><name>c</name></item></atlantis>"
+      "</regions><people/><open_auctions/></site>");
+  auto keyed = AnnotateKeys(*doc, spec);
+  // atlantis is not keyed, though the items below it would be.
+  ASSERT_FALSE(keyed.ok());
+  EXPECT_EQ(keyed.status().message(),
+            "element at /site/regions/atlantis is not covered by any key");
+}
+
+TEST(AnnotateWalkTest, ViolationMessagesAreStable) {
+  KeySpecSet spec = MustParseSpec(kCompanyKeys);
+  auto message = [&](std::string_view text) {
+    xml::NodePtr doc = MustParseXml(text);
+    auto keyed = AnnotateKeys(*doc, spec);
+    EXPECT_FALSE(keyed.ok()) << text;
+    EXPECT_EQ(keyed.status().code(), StatusCode::kKeyViolation) << text;
+    return keyed.status().message();
+  };
+  EXPECT_EQ(message("<db><dept><name>x</name><mystery/></dept></db>"),
+            "element at /db/dept/mystery is not covered by any key");
+  EXPECT_EQ(message("<db>stray<dept><name>x</name></dept></db>"),
+            "text content under non-frontier keyed node at /db (keys must "
+            "cover everything above the frontier, Sec. 3)");
+  EXPECT_EQ(message("<db><dept><name>x</name><emp><fn>A</fn><ln>B</ln>"
+                    "tail</emp></dept></db>"),
+            "text content under non-frontier keyed node at /db/dept/emp "
+            "(keys must cover everything above the frontier, Sec. 3)");
+  EXPECT_EQ(
+      message("<db><dept><name>x</name></dept><dept><name>x</name></dept>"
+              "</db>"),
+      "duplicate key value dept{name=x} under /db");
+  EXPECT_EQ(message("<db><dept><name>x</name><emp><fn>A</fn><ln>B</ln>"
+                    "<tel>1</tel><tel>1</tel></emp></dept></db>"),
+            "duplicate key value tel{.=1} under /db/dept/emp");
+  EXPECT_EQ(message("<db><dept><name>x</name><name>y</name></dept></db>"),
+            "key path name of (/db, (dept, {name})) matched 2 nodes under "
+            "<dept> (must exist uniquely)");
+  EXPECT_EQ(message("<db><dept><name>x</name><emp><fn>A</fn></emp></dept>"
+                    "</db>"),
+            "key path ln of (/db/dept, (emp, {fn, ln})) matched 0 nodes "
+            "under <emp> (must exist uniquely)");
+}
+
+TEST(AnnotateWalkTest, AttributeKeysAndExtraAttributesFoldIntoTheLabel) {
+  KeySpecSet spec = MustParseSpec(
+      "(/, (r, {}))\n"
+      "(/r, (e, {id}))\n"
+      "(/r, (f, {k/id}))");
+  xml::NodePtr doc = MustParseXml(
+      "<r><e id='1' z='extra' a='first'/><f id='7'><k id='2'/></f></r>");
+  auto keyed = AnnotateKeys(*doc, spec);
+  ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+  std::vector<std::string> labels;
+  for (const KeyedNode& c : keyed->children) {
+    labels.push_back(c.label.ToString());
+  }
+  std::sort(labels.begin(), labels.end());
+  // e's id is consumed by its key path; a and z fold in. An attribute
+  // key path is named by its attribute alone, so f's k/id part reads @id,
+  // and f's own id attribute counts as consumed by it.
+  EXPECT_EQ(labels, (std::vector<std::string>{"e{@a=first, @id=1, @z=extra}",
+                                              "f{@id=2}"}));
+}
+
+/// Walks `keyed` with its element path, checking every node's label and
+/// frontier flag against a whole-path Lookup/IsFrontier.
+void ExpectWalkMatchesLookup(const KeySpecSet& spec, const KeyedNode& keyed,
+                             std::vector<std::string>* steps,
+                             size_t* checked) {
+  steps->push_back(keyed.node->tag());
+  const Key* key = spec.Lookup(*steps);
+  ASSERT_NE(key, nullptr);
+  auto label = ComputeLabel(*keyed.node, *key, AnnotateOptions());
+  ASSERT_TRUE(label.ok()) << label.status().ToString();
+  EXPECT_TRUE(*label == keyed.label) << keyed.label.ToString();
+  EXPECT_EQ(label->fingerprint, keyed.label.fingerprint);
+  EXPECT_EQ(keyed.is_frontier, spec.IsFrontier(*steps));
+  ++*checked;
+  for (const KeyedNode& child : keyed.children) {
+    ExpectWalkMatchesLookup(spec, child, steps, checked);
+  }
+  steps->pop_back();
+}
+
+TEST(AnnotateWalkTest, SynthCorporaLabelsMatchWholePathLookups) {
+  struct Corpus {
+    const char* spec;
+    std::vector<xml::NodePtr> docs;
+  };
+  std::vector<Corpus> corpora;
+  {
+    synth::XMarkGenerator::Options options;
+    options.items = 10;
+    options.people = 15;
+    options.open_auctions = 10;
+    options.seed = 11;
+    synth::XMarkGenerator gen(options);
+    Corpus corpus{synth::XMarkGenerator::KeySpecText(), {}};
+    for (int v = 0; v < 3; ++v) {
+      corpus.docs.push_back(gen.Current());
+      gen.MutateRandom(10);
+    }
+    corpora.push_back(std::move(corpus));
+  }
+  {
+    synth::SwissProtGenerator::Options options;
+    options.initial_records = 25;
+    options.seed = 11;
+    synth::SwissProtGenerator gen(options);
+    Corpus corpus{synth::SwissProtGenerator::KeySpecText(), {}};
+    for (int v = 0; v < 3; ++v) corpus.docs.push_back(gen.NextVersion());
+    corpora.push_back(std::move(corpus));
+  }
+  {
+    synth::OmimGenerator::Options options;
+    options.initial_records = 30;
+    options.seed = 11;
+    synth::OmimGenerator gen(options);
+    Corpus corpus{synth::OmimGenerator::KeySpecText(), {}};
+    for (int v = 0; v < 3; ++v) corpus.docs.push_back(gen.NextVersion());
+    corpora.push_back(std::move(corpus));
+  }
+  for (const Corpus& corpus : corpora) {
+    KeySpecSet spec = MustParseSpec(corpus.spec);
+    for (const xml::NodePtr& doc : corpus.docs) {
+      auto keyed = AnnotateKeys(*doc, spec);
+      ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+      std::vector<std::string> steps;
+      size_t checked = 0;
+      ExpectWalkMatchesLookup(spec, *keyed, &steps, &checked);
+      EXPECT_GT(checked, 100u);
+    }
+  }
 }
 
 }  // namespace

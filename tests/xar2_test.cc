@@ -366,6 +366,48 @@ TEST(Xar2PromotionTest, IngestIntoMappedStoreMaterializesOnce) {
   EXPECT_EQ(*(*again)->Retrieve(5), v5);
 }
 
+TEST(Xar2PromotionTest, FailedFirstIngestAfterMappedOpenKeepsTheIndex) {
+  // The first ingest promotes the mapped store to the heap and publishes
+  // the heap index after its merge. A key-violating first ingest must
+  // still leave an index over the promoted archive, and unchanged answers.
+  std::unique_ptr<Store> live = MakeLiveStore("archive", /*use_index=*/true);
+  auto bytes = live->SaveToBytes();
+  ASSERT_TRUE(bytes.ok());
+  const std::string bad =
+      "<db>" + Entry(1, "x") + Entry(1, "duplicate key") + "</db>";
+  const std::string good = Canonical("<db>" + Entry(5, "epsilon") + "</db>");
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "AppendBatch" : "Append");
+    auto reopened_or = StoreRegistry::Global().OpenFromBytes(*bytes);
+    ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+    Store& reopened = **reopened_or;
+    Status failed = batch ? reopened.AppendBatch({good, bad})
+                          : reopened.Append(bad);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.code(), StatusCode::kKeyViolation) << failed.ToString();
+    EXPECT_EQ(reopened.version_count(), live->version_count());
+
+    auto explained =
+        RunQuery(reopened, "explain /db/entry[id=\"2\"] @ version 1");
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_NE(explained->find("archive-indexed"), std::string::npos)
+        << *explained;
+    EXPECT_EQ(explained->find("mapped=true"), std::string::npos)
+        << *explained;
+    for (const char* q : {
+             "/db/entry[id=\"2\"] @ version 1",
+             "/db/entry[*] @ versions 1..4",
+             "/db/entry[id=\"2\"] history",
+             "/db diff 2 4",
+         }) {
+      EXPECT_EQ(*RunQuery(reopened, q), *RunQuery(*live, q)) << q;
+    }
+    // The promoted store re-encodes to the live store's bytes, index
+    // pages included.
+    EXPECT_TRUE(*reopened.SaveToBytes() == *bytes);
+  }
+}
+
 // --------------------------------------------- XAR1 fixtures (tests/data)
 
 // Committed XAR1 snapshot files, one per backend, written by earlier

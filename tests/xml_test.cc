@@ -6,6 +6,9 @@
 #include "xml/path.h"
 #include "xml/serializer.h"
 #include "xml/value.h"
+#include "synth/omim.h"
+#include "synth/swissprot.h"
+#include "synth/xmark.h"
 
 namespace xarch::xml {
 namespace {
@@ -459,6 +462,153 @@ TEST(ParserTest, DuplicateAttributesAreRejected) {
   EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos);
   // Distinct names still parse.
   EXPECT_TRUE(Parse("<t a=\"1\" b=\"2\"/>").ok());
+}
+
+// ------------------------------------------- parser edge cases (bulk scan)
+// The parser copies text and attribute values in runs up to the next
+// delimiter; these pin that every way a run can be split or cut short
+// gives the same tree and the same error as a character-at-a-time scan.
+
+std::string MustParseError(std::string_view text) {
+  auto result = Parse(text);
+  EXPECT_FALSE(result.ok()) << text;
+  if (result.ok()) return "";
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError) << text;
+  return result.status().message();
+}
+
+TEST(ParserEdgeTest, TextRunsSplitByEntitiesCommentsCdataAndPis) {
+  NodePtr doc = MustParse(
+      "<a>one &amp; two<!-- c -->three<![CDATA[<4>]]>five<?pi x?>six"
+      "&#x41;&lt;</a>");
+  // Everything between two child elements is one text node.
+  ASSERT_EQ(doc->children().size(), 1u);
+  EXPECT_EQ(doc->children()[0]->text(), "one & twothree<4>fivesixA<");
+
+  doc = MustParse("<a>x<b/>y<!--c-->z<c/>&amp;</a>");
+  ASSERT_EQ(doc->children().size(), 5u);
+  EXPECT_EQ(doc->children()[0]->text(), "x");
+  EXPECT_EQ(doc->children()[2]->text(), "yz");
+  EXPECT_EQ(doc->children()[4]->text(), "&");
+
+  // A run that is only an entity, and entities back to back.
+  doc = MustParse("<a>&lt;&gt;&quot;&apos;&#65;&#x42;</a>");
+  EXPECT_EQ(doc->TextContent(), "<>\"'AB");
+  // Non-ASCII bytes and characters that only matter in markup pass through.
+  doc = MustParse("<a>caf\xc3\xa9 > ]] \" ' = /</a>");
+  EXPECT_EQ(doc->TextContent(), "caf\xc3\xa9 > ]] \" ' = /");
+}
+
+TEST(ParserEdgeTest, AttributeValuesWithEntitiesInBothQuoteStyles) {
+  NodePtr doc = MustParse(
+      "<t a=\"x &amp; y &lt;z&gt; 'q'\" b='&quot;p&quot; \"r\" &#x41;'"
+      " c=\"\" d='&amp;' e=\"<raw>\"/>");
+  EXPECT_EQ(*doc->FindAttr("a"), "x & y <z> 'q'");
+  EXPECT_EQ(*doc->FindAttr("b"), "\"p\" \"r\" A");
+  EXPECT_EQ(*doc->FindAttr("c"), "");
+  EXPECT_EQ(*doc->FindAttr("d"), "&");
+  EXPECT_EQ(*doc->FindAttr("e"), "<raw>");
+}
+
+TEST(ParserEdgeTest, WhitespaceRunsAndTrimText) {
+  NodePtr doc = MustParse("<a>\n\t <b> x </b>\r\n <c>\n</c> </a>");
+  ASSERT_EQ(doc->children().size(), 2u);
+  EXPECT_EQ(doc->children()[0]->TextContent(), " x ");
+  EXPECT_TRUE(doc->children()[1]->children().empty());
+
+  ParseOptions keep;
+  keep.skip_whitespace_text = false;
+  auto kept = Parse("<a>\n <b> x </b> <c/>\t</a>", keep);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_EQ((*kept)->children().size(), 5u);
+  EXPECT_EQ((*kept)->children()[0]->text(), "\n ");
+  EXPECT_EQ((*kept)->children()[2]->text(), " ");
+  EXPECT_EQ((*kept)->children()[4]->text(), "\t");
+
+  ParseOptions trim;
+  trim.trim_text = true;
+  auto trimmed = Parse("<a> <b>  x &amp; y\n</b>\n<c> &#32;z </c></a>", trim);
+  ASSERT_TRUE(trimmed.ok());
+  ASSERT_EQ((*trimmed)->children().size(), 2u);
+  EXPECT_EQ((*trimmed)->children()[0]->TextContent(), "x & y");
+  EXPECT_EQ((*trimmed)->children()[1]->TextContent(), "z");
+
+  // Trimming without skipping keeps whitespace-only runs as empty text.
+  ParseOptions both;
+  both.skip_whitespace_text = false;
+  both.trim_text = true;
+  auto empty_runs = Parse("<a> <b/> </a>", both);
+  ASSERT_TRUE(empty_runs.ok());
+  ASSERT_EQ((*empty_runs)->children().size(), 3u);
+  EXPECT_EQ((*empty_runs)->children()[0]->text(), "");
+}
+
+TEST(ParserEdgeTest, TruncationMessagesAreStable) {
+  // Inside text.
+  EXPECT_EQ(MustParseError("<a>some text"), "unterminated element <a>");
+  EXPECT_EQ(MustParseError("<a><b>x</b>tail"), "unterminated element <a>");
+  EXPECT_EQ(MustParseError("<a>x &am"), "unterminated entity at offset 5");
+  EXPECT_EQ(MustParseError("<a>x &bogus;</a>"), "unknown entity '&bogus;'");
+  EXPECT_EQ(MustParseError("<a>x <!-- c"), "unterminated comment");
+  EXPECT_EQ(MustParseError("<a><![CDATA[x]]"), "unterminated CDATA section");
+  EXPECT_EQ(MustParseError("<a><?pi"), "unterminated processing instruction");
+  // Inside an attribute value.
+  EXPECT_EQ(MustParseError("<a x='abc"), "unterminated attribute value");
+  EXPECT_EQ(MustParseError("<a x=\"abc"), "unterminated attribute value");
+  EXPECT_EQ(MustParseError("<a x='a&amp;"), "unterminated attribute value");
+  EXPECT_EQ(MustParseError("<a x='a&am"), "unterminated entity at offset 7");
+  EXPECT_EQ(MustParseError("<a x=abc/>"),
+            "expected quoted attribute value at offset 5");
+  EXPECT_EQ(MustParseError("<a x"), "expected '=' after attribute name 'x'");
+  EXPECT_EQ(MustParseError("<a "), "unterminated start tag");
+  // Inside an end tag.
+  EXPECT_EQ(MustParseError("<a>x</"), "expected name at offset 6");
+  EXPECT_EQ(MustParseError("<a>x</a"), "malformed end tag </a>");
+  EXPECT_EQ(MustParseError("<a>x</a "), "malformed end tag </a>");
+  EXPECT_EQ(MustParseError("<a>x</ab"), "malformed end tag </ab>");
+  EXPECT_EQ(MustParseError("<a>x</b>"),
+            "mismatched end tag: expected </a>, found </b>");
+  EXPECT_EQ(MustParseError("<a><b></a></b>"),
+            "mismatched end tag: expected </b>, found </a>");
+  // Around the root.
+  EXPECT_EQ(MustParseError(""), "expected root element at offset 0");
+  EXPECT_EQ(MustParseError("  text"), "expected root element at offset 2");
+  EXPECT_EQ(MustParseError("<a/>junk"),
+            "trailing content after root element at offset 4");
+  EXPECT_EQ(MustParseError("<a><!DOCTYPE x></a>"), "expected name at offset 4");
+}
+
+TEST(ParserEdgeTest, SerializeParseIsAFixedPointOnSynthCorpora) {
+  auto expect_fixed_point = [](const Node& doc) {
+    for (bool pretty : {true, false}) {
+      SerializeOptions options;
+      options.pretty = pretty;
+      std::string text = Serialize(doc, options);
+      auto parsed = Parse(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      ASSERT_EQ(Serialize(**parsed, options), text);
+    }
+  };
+  synth::XMarkGenerator::Options xmark_options;
+  xmark_options.items = 12;
+  xmark_options.people = 20;
+  xmark_options.open_auctions = 15;
+  xmark_options.seed = 7;
+  synth::XMarkGenerator xmark(xmark_options);
+  synth::SwissProtGenerator::Options sprot_options;
+  sprot_options.initial_records = 30;
+  sprot_options.seed = 7;
+  synth::SwissProtGenerator sprot(sprot_options);
+  synth::OmimGenerator::Options omim_options;
+  omim_options.initial_records = 40;
+  omim_options.seed = 7;
+  synth::OmimGenerator omim(omim_options);
+  for (int v = 0; v < 4; ++v) {
+    expect_fixed_point(*xmark.Current());
+    xmark.MutateRandom(10);
+    expect_fixed_point(*sprot.NextVersion());
+    expect_fixed_point(*omim.NextVersion());
+  }
 }
 
 }  // namespace
