@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
                      std::to_string(config.versions)}},
       };
   const std::vector<std::pair<std::string, bool>> backends = {
-      {"archive", true},    // the paper's store, timestamp-tree indexed
+      {"archive", true},    // the paper's store, key-indexed
       {"incr-diff", false},  // delta baseline: query = replay + navigate
       {"extmem", false},     // exclusive reads: the non-scaling contrast
   };

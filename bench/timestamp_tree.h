@@ -1,5 +1,11 @@
-#ifndef XARCH_INDEX_TIMESTAMP_TREE_H_
-#define XARCH_INDEX_TIMESTAMP_TREE_H_
+#ifndef XARCH_BENCH_TIMESTAMP_TREE_H_
+#define XARCH_BENCH_TIMESTAMP_TREE_H_
+
+// The Sec. 7.1 timestamp tree, kept beside the benches that reproduce the
+// paper's probe counts. The library's index holds only the Sec. 7.2
+// sorted child ids: measured on OMIM and Swiss-Prot archives, the trees
+// made version retrieval slower than the stamp-checking scan and were
+// about 80% of the index pages (docs/FORMAT.md, "Index pages").
 
 #include <algorithm>
 #include <cstddef>
@@ -7,13 +13,12 @@
 
 #include "util/version_set.h"
 
-namespace xarch::index {
+namespace xarch::bench {
 
 /// The Sec. 7.1 budgeted search over any storage of tree node records.
-/// TimestampTree and the index pages (index::ArchiveIndex) both run this
-/// one body, so their hits and probe counts agree by construction. `records`
-/// answers Contains(id, v), Left(id) / Right(id) (-1 for leaves), and
-/// LeafLo(id); leaves occupy ids [0, leaf_count) in child order.
+/// `records` answers Contains(id, v), Left(id) / Right(id) (-1 for
+/// leaves), and LeafLo(id); leaves occupy ids [0, leaf_count) in child
+/// order.
 ///
 /// Iterative DFS from `root` (-1: empty tree). When the probe count reaches
 /// `probe_budget` at an inner node, the descent is abandoned and the
@@ -78,7 +83,36 @@ void BudgetedTreeLookup(const Records& records, int root, size_t leaf_count,
 class TimestampTree {
  public:
   /// Builds the tree bottom-up by pairing nodes (Sec. 7.1 construction).
-  static TimestampTree Build(std::vector<VersionSet> child_stamps);
+  static TimestampTree Build(std::vector<VersionSet> child_stamps) {
+    TimestampTree tree;
+    tree.leaf_count_ = child_stamps.size();
+    if (child_stamps.empty()) return tree;
+    // Level 0: leaves.
+    std::vector<int> level;
+    level.reserve(child_stamps.size());
+    for (size_t i = 0; i < child_stamps.size(); ++i) {
+      tree.nodes_.push_back(Node{std::move(child_stamps[i]), i, i, -1, -1});
+      level.push_back(static_cast<int>(tree.nodes_.size() - 1));
+    }
+    // Pair repeatedly, unioning timestamps (bottom-up construction).
+    while (level.size() > 1) {
+      std::vector<int> next;
+      next.reserve((level.size() + 1) / 2);
+      for (size_t i = 0; i + 1 < level.size(); i += 2) {
+        const Node& l = tree.nodes_[level[i]];
+        const Node& r = tree.nodes_[level[i + 1]];
+        VersionSet stamp = l.stamp;
+        stamp.UnionWith(r.stamp);
+        tree.nodes_.push_back(Node{std::move(stamp), l.leaf_lo, r.leaf_hi,
+                                   level[i], level[i + 1]});
+        next.push_back(static_cast<int>(tree.nodes_.size() - 1));
+      }
+      if (level.size() % 2 == 1) next.push_back(level.back());
+      level = std::move(next);
+    }
+    tree.root_ = level[0];
+    return tree;
+  }
 
   /// Returns the indices of children whose timestamp contains v, in order.
   /// `*probes` (optional) receives the number of tree nodes inspected.
@@ -93,33 +127,45 @@ class TimestampTree {
   /// path, which the default budget — at least the full node count
   /// 2k − 1 — never triggers.
   std::vector<size_t> Lookup(Version v, size_t* probes,
-                             size_t probe_budget) const;
+                             size_t probe_budget) const {
+    std::vector<size_t> hits;
+    Lookup(v, probes, probe_budget, &hits);
+    return hits;
+  }
+
+  /// The same search into a caller-kept vector (no allocation once grown).
+  void Lookup(Version v, size_t* probes, size_t probe_budget,
+              std::vector<size_t>* hits) const {
+    struct Records {
+      const std::vector<Node>& nodes;
+      bool Contains(int id, Version version) const {
+        return nodes[id].stamp.Contains(version);
+      }
+      int Left(int id) const { return nodes[id].left; }
+      int Right(int id) const { return nodes[id].right; }
+      size_t LeafLo(int id) const { return nodes[id].leaf_lo; }
+    };
+    BudgetedTreeLookup(Records{nodes_}, root_, leaf_count_, v, probes,
+                       probe_budget, hits);
+  }
 
   size_t leaf_count() const { return leaf_count_; }
 
   /// Total tree nodes (space cost of the index).
   size_t node_count() const { return nodes_.size(); }
 
+ private:
   struct Node {
     VersionSet stamp;
     size_t leaf_lo, leaf_hi;  // inclusive child-index range
     int left = -1, right = -1;  // -1: leaf
   };
 
-  /// The i-th tree node (leaves occupy [0, leaf_count()) in child order).
-  /// Exposed for the index pages, which store the tree verbatim so their
-  /// lookup probes the same nodes in the same order.
-  const Node& node(size_t i) const { return nodes_[i]; }
-
-  /// Index of the root node, -1 when the tree is empty.
-  int root_index() const { return root_; }
-
- private:
   std::vector<Node> nodes_;
   int root_ = -1;
   size_t leaf_count_ = 0;
 };
 
-}  // namespace xarch::index
+}  // namespace xarch::bench
 
-#endif  // XARCH_INDEX_TIMESTAMP_TREE_H_
+#endif  // XARCH_BENCH_TIMESTAMP_TREE_H_

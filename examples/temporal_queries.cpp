@@ -1,10 +1,11 @@
-// Temporal queries at scale: the XAQL query engine over timestamp trees
-// and the key index (Sec. 7), plus the external-memory archiver (Sec. 6).
+// Temporal queries at scale: the XAQL query engine over the archive's
+// timestamps and the key index (Sec. 7), plus the external-memory
+// archiver (Sec. 6).
 //
 // Builds a Swiss-Prot-like archive over several releases behind the Store
 // API, then issues the paper's workloads as XAQL queries:
-//  - retrieves an early release, with EXPLAIN reporting indexed vs naive
-//    probe counts;
+//  - retrieves an early release, with EXPLAIN reporting the children the
+//    stamp-checking scan inspected;
 //  - looks up a record's history;
 //  - diffs two releases under a key path.
 // Finally repeats the archiving with the external-memory archiver under a
@@ -74,9 +75,9 @@ int main() {
   std::printf("archive store: %u releases, %zu archive nodes\n\n",
               store.version_count(), store.Stats().node_count);
 
-  // --- Sec. 7.1: version retrieval with timestamp trees. EXPLAIN runs
-  // the query (results counted, not streamed) and reports the plan plus
-  // indexed vs naive probe counts from the same pass.
+  // --- Sec. 7.1: version retrieval by one stamp-checking scan. EXPLAIN
+  // runs the query (results counted, not streamed) and reports the plan
+  // plus the children the scan inspected.
   RunQuery(store, "explain /ROOT @ version 1");
 
   // --- Sec. 7.2: history of a record via the key index.

@@ -1,7 +1,11 @@
 #include "core/flat_archive.h"
 
 #include <cstring>
+#include <deque>
 #include <map>
+#include <unordered_map>
+
+#include "util/hash.h"
 
 namespace xarch::core {
 
@@ -563,20 +567,43 @@ xml::NodeSource::Id FlatContentSource::Child(Id node, size_t i) const {
 
 // --------------------------------------------------------------- encoder
 
+namespace {
+
+/// One encoding pass: lays out the record arenas in BreadthFirstOrder,
+/// interning strings and stamps into pools, then serializes everything.
+class FlatArchiveEncoder {
+ public:
+  explicit FlatArchiveEncoder(const Archive& archive) : archive_(archive) {}
+
+  void EncodeStructure();
+  FlatSections Finish();
+
+ private:
+  /// Dedups `stamp` into the pool, returning its id.
+  uint32_t InternStamp(const VersionSet& stamp);
+  uint32_t EncodeContentForest(const std::vector<xml::NodePtr>& roots,
+                               uint32_t* out_begin);
+
+  const Archive& archive_;
+  StringInterner interner_;
+  // deque: growth must not move elements, the map holds views into them.
+  std::deque<std::string> stamp_pool_;  // encoded (lo, hi) pair bytes
+  std::unordered_map<std::string_view, uint32_t> stamp_ids_;
+  std::vector<uint32_t> nodes_, parts_, attrs_, buckets_, content_;
+};
+
+}  // namespace
+
 uint32_t FlatArchiveEncoder::InternStamp(const VersionSet& stamp) {
   std::string encoded;
   for (const auto& [lo, hi] : stamp.intervals()) {
     PutU32(&encoded, lo);
     PutU32(&encoded, hi);
   }
-  return InternStamp(std::string_view(encoded));
-}
-
-uint32_t FlatArchiveEncoder::InternStamp(std::string_view encoded) {
   auto it = stamp_ids_.find(encoded);
   if (it != stamp_ids_.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(stamp_pool_.size());
-  stamp_pool_.emplace_back(encoded);
+  stamp_pool_.push_back(std::move(encoded));
   stamp_ids_.emplace(std::string_view(stamp_pool_.back()), id);
   return id;
 }
@@ -690,8 +717,8 @@ std::string RecordSection(const std::vector<uint32_t>& words,
 
 }  // namespace
 
-FlatArchiveEncoder::Sections FlatArchiveEncoder::Finish() {
-  Sections out;
+FlatSections FlatArchiveEncoder::Finish() {
+  FlatSections out;
   PutU64(&out.meta, archive_.version_count());
   interner_.EncodeTo(&out.strings);
   PutU32(&out.stamps, static_cast<uint32_t>(stamp_pool_.size()));
@@ -708,6 +735,12 @@ FlatArchiveEncoder::Sections FlatArchiveEncoder::Finish() {
   out.buckets = RecordSection(buckets_, 3);
   out.content = RecordSection(content_, FlatArchive::kContentFields);
   return out;
+}
+
+FlatSections EncodeFlatArchive(const Archive& archive) {
+  FlatArchiveEncoder encoder(archive);
+  encoder.EncodeStructure();
+  return encoder.Finish();
 }
 
 }  // namespace xarch::core

@@ -2,15 +2,12 @@
 #define XARCH_CORE_FLAT_ARCHIVE_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/archive.h"
 #include "core/tree_view.h"
-#include "util/hash.h"
 #include "util/status.h"
 #include "util/version_set.h"
 #include "xml/serializer.h"
@@ -111,7 +108,7 @@ class FlatArchive {
   VersionSet StampAt(uint32_t stamp_id) const;
 
   /// Rebuilds the heap Archive the records encode — the inverse of
-  /// FlatArchiveEncoder. Labels come from the stored key parts, with
+  /// EncodeFlatArchive. Labels come from the stored key parts, with
   /// fingerprints recomputed at `options.annotate.fingerprint_bits`.
   /// Every node's tag path must be keyed by `spec` with the spec's
   /// frontier flag, and the result must pass Archive::Check(); any
@@ -205,45 +202,15 @@ class FlatContentSource : public xml::NodeSource {
 /// XAR2 node ids and index page ids are positions in this order.
 std::vector<const ArchiveNode*> BreadthFirstOrder(const Archive& archive);
 
-/// \brief Builds the flat sections from a heap Archive: one walk in
+/// The flat sections of one archive, as a snapshot stores them.
+struct FlatSections {
+  std::string meta, strings, stamps, nodes, parts, attrs, buckets, content;
+};
+
+/// Builds the flat sections from a heap Archive: one walk in
 /// BreadthFirstOrder interning strings and timestamps as it lays out the
 /// record arenas.
-///
-/// Index-page serialization (index::ArchiveIndex::EncodePages) runs
-/// between EncodeStructure() and Finish(): it interns the timestamp-tree
-/// stamps into the shared pool, so the string/stamp sections serialize
-/// once, at Finish().
-class FlatArchiveEncoder {
- public:
-  explicit FlatArchiveEncoder(const Archive& archive) : archive_(archive) {}
-
-  /// Lays out nodes/parts/attrs/buckets/content. Call exactly once.
-  void EncodeStructure();
-
-  /// Dedups `stamp` into the pool, returning its id.
-  uint32_t InternStamp(const VersionSet& stamp);
-  /// The same for a stamp already encoded as its little-endian u32
-  /// (lo, hi) interval pairs.
-  uint32_t InternStamp(std::string_view encoded);
-
-  struct Sections {
-    std::string meta, strings, stamps, nodes, parts, attrs, buckets, content;
-  };
-
-  /// Serializes the pools and record arenas. Call exactly once, last.
-  Sections Finish();
-
- private:
-  uint32_t EncodeContentForest(const std::vector<xml::NodePtr>& roots,
-                               uint32_t* out_begin);
-
-  const Archive& archive_;
-  StringInterner interner_;
-  // deque: growth must not move elements, the map holds views into them.
-  std::deque<std::string> stamp_pool_;  // encoded (lo, hi) pair bytes
-  std::unordered_map<std::string_view, uint32_t> stamp_ids_;
-  std::vector<uint32_t> nodes_, parts_, attrs_, buckets_, content_;
-};
+FlatSections EncodeFlatArchive(const Archive& archive);
 
 }  // namespace xarch::core
 

@@ -66,40 +66,17 @@ Status ScanCursor::WriteInner(const ArchiveView& view,
                               ArchiveView::NodeId node, Version v, int depth) {
   const size_t child_count = view.ChildCount(node);
   if (stats_ != nullptr) stats_->naive_probes += child_count;
-  // The relevant children: timestamp-tree pruned when a selector is
-  // installed, per-child timestamp checks otherwise. The buffer belongs to
-  // this nesting level; deeper levels fill their own while it is read.
-  bool pruned = false;
-  if (selector_) {
-    if (relevant_.size() <= static_cast<size_t>(depth)) {
-      relevant_.resize(static_cast<size_t>(depth) + 1);
-    }
-    size_t probes = 0;
-    pruned = selector_(node, v, &relevant_[depth], &probes);
-    if (stats_ != nullptr) stats_->tree_probes += probes;
-  }
   bool any = false;
-  auto write_child = [&](ArchiveView::NodeId child) -> Status {
+  for (size_t i = 0; i < child_count; ++i) {
+    const ArchiveView::NodeId child = view.Child(node, i);
+    if (view.HasStamp(child) && !view.StampContains(child, v)) continue;
     if (!any) {
       buffer_ += '>';
       Newline();
       any = true;
     }
     XARCH_RETURN_NOT_OK(Scan(view, child, v, depth + 1));
-    return MaybeFlush();
-  };
-  if (pruned) {
-    // Indexed, not iterated: a deeper level may grow relevant_ and move
-    // this level's vector.
-    for (size_t i = 0; i < relevant_[depth].size(); ++i) {
-      XARCH_RETURN_NOT_OK(write_child(view.Child(node, relevant_[depth][i])));
-    }
-  } else {
-    for (size_t i = 0; i < child_count; ++i) {
-      const ArchiveView::NodeId child = view.Child(node, i);
-      if (view.HasStamp(child) && !view.StampContains(child, v)) continue;
-      XARCH_RETURN_NOT_OK(write_child(child));
-    }
+    XARCH_RETURN_NOT_OK(MaybeFlush());
   }
   if (!any) {
     buffer_ += "/>";

@@ -4,7 +4,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/archive.h"
 #include "core/tree_view.h"
@@ -13,31 +12,16 @@
 
 namespace xarch::core {
 
-/// Probe counters of a (possibly pruned) archive scan. Mirrors the two
-/// fields of index::ProbeStats a scan can observe; kept separate so core
-/// does not depend on the index layer.
+/// Probe counter of an archive scan: the children inspected at the
+/// visited inner nodes, one timestamp check each — what the naive Sec. 7.1
+/// scan pays. Mirrors index::ProbeStats::naive_probes; kept separate so
+/// core does not depend on the index layer.
 struct ScanStats {
-  /// Nodes inspected by the pruning hook (timestamp-tree probes when the
-  /// hook is backed by an ArchiveIndex). 0 for unpruned scans.
-  size_t tree_probes = 0;
-  /// Children a full scan inspects at the visited inner nodes — what the
-  /// naive Sec. 7.1 scan pays, counted in the same pass for comparison.
   size_t naive_probes = 0;
 };
 
 /// Consumes the next chunk of serialized output.
 using ScanEmit = std::function<Status(std::string_view chunk)>;
-
-/// Optional pruning hook: replaces `*relevant`'s contents with the indices
-/// of `node`'s children active at version v (in child order; the cursor
-/// reuses the vector across calls) and returns true, or
-/// returns false to make the cursor fall back to scanning all children
-/// with per-child timestamp checks. `*probes` receives the number of nodes
-/// the hook inspected. The node comes as the view's NodeId, so one hook
-/// shape serves both heap and mapped scans.
-using ChildSelector = std::function<bool(
-    ArchiveView::NodeId node, Version v, std::vector<size_t>* relevant,
-    size_t* probes)>;
 
 /// \brief Streaming scan of archive subtrees at one version: the Sec. 7.1
 /// version scan fused with xml::Serialize's formatting.
@@ -47,9 +31,8 @@ using ChildSelector = std::function<bool(
 /// xml::Node::CreatedCount hook), and the byte output is identical to
 /// serializing Archive::RetrieveVersion's tree. The cursor walks any
 /// ArchiveView, so the same code path streams from heap nodes and from
-/// mapped XAR2 bytes. With a ChildSelector the scan visits only the
-/// relevant children at every inner node (timestamp-tree pruning); without
-/// one it checks each child's timestamp.
+/// mapped XAR2 bytes. At every inner node it checks each child's
+/// timestamp and skips the subtrees of children inactive at the version.
 ///
 /// Scan() may be called several times (a query streaming many matched
 /// subtrees); Finish() flushes the buffered tail once at the end.
@@ -58,9 +41,6 @@ class ScanCursor {
   ScanCursor(xml::SerializeOptions options, ScanEmit emit)
       : options_(options), emit_(std::move(emit)) {}
 
-  void set_selector(ChildSelector selector) {
-    selector_ = std::move(selector);
-  }
   void set_stats(ScanStats* stats) { stats_ = stats; }
 
   /// Serializes the subtree rooted at `node` as it existed at version v,
@@ -91,12 +71,8 @@ class ScanCursor {
 
   xml::SerializeOptions options_;
   ScanEmit emit_;
-  ChildSelector selector_;
   ScanStats* stats_ = nullptr;
   std::string buffer_;
-  /// The selector's output, one buffer per nesting depth, kept across
-  /// nodes so a pruned scan allocates only while the buffers grow.
-  std::vector<std::vector<size_t>> relevant_;
 };
 
 }  // namespace xarch::core

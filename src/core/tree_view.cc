@@ -36,7 +36,8 @@ ArchiveView::NodeId FindChildByKeyStep(const ArchiveView& view,
 }
 
 StatusOr<VersionSet> HistoryOverView(const ArchiveView& view,
-                                     const std::vector<KeyStep>& path) {
+                                     const std::vector<KeyStep>& path,
+                                     const ChildLookup& find_child) {
   ArchiveView::NodeId node = view.Root();
   VersionSet effective = view.StampValue(node);
   for (const auto& step : path) {
@@ -45,7 +46,9 @@ StatusOr<VersionSet> HistoryOverView(const ArchiveView& view,
           "history path descends below frontier node " +
           view.LabelString(node));
     }
-    const ArchiveView::NodeId child = FindChildByKeyStep(view, node, step);
+    const ArchiveView::NodeId child =
+        find_child ? find_child(node, step)
+                   : FindChildByKeyStep(view, node, step);
     if (child == ArchiveView::kNoNode) {
       return Status::NotFound("no element " + step.tag + " on the given path");
     }

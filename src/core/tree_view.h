@@ -2,6 +2,7 @@
 #define XARCH_CORE_TREE_VIEW_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -183,11 +184,18 @@ ArchiveView::NodeId FindChildByKeyStep(const ArchiveView& view,
                                        ArchiveView::NodeId parent,
                                        const KeyStep& step);
 
+/// Resolves one KeyStep below a parent (FindChildByKeyStep, or an index's
+/// sorted-child search); kNoNode when absent.
+using ChildLookup = std::function<ArchiveView::NodeId(
+    ArchiveView::NodeId parent, const KeyStep& step)>;
+
 /// The set of versions in which the keyed element identified by `path`
-/// exists, by child scans — Archive::History and the unindexed archive
-/// store both run it.
+/// exists: one lookup per step, by `find_child` when given and by child
+/// scans otherwise. Archive::History and the archive store, indexed or
+/// not, all run it, so they answer with one status.
 StatusOr<VersionSet> HistoryOverView(const ArchiveView& view,
-                                     const std::vector<KeyStep>& path);
+                                     const std::vector<KeyStep>& path,
+                                     const ChildLookup& find_child = {});
 
 }  // namespace xarch::core
 

@@ -52,7 +52,7 @@ class Trace {
   /// Renders the tree:
   ///
   ///   trace:
-  ///     eval                         142 us  [tree_probes=5]
+  ///     eval                         142 us  [naive_probes=5]
   ///       version 1                   12 us  [matches=1]
   ///
   /// Durations are wall-side microseconds from the monotonic clock.

@@ -87,7 +87,6 @@ bool WantParallel(const EvalOptions& options, size_t versions) {
 struct QueryMetrics {
   obs::Counter* queries;
   obs::Histogram* duration_us;
-  obs::Counter* tree_probes;
   obs::Counter* naive_probes;
   obs::Counter* key_comparisons;
   obs::Counter* bytes_streamed;
@@ -101,11 +100,9 @@ QueryMetrics MakeQueryMetrics(const char* plan) {
                              "Query evaluations by plan kind");
   m.duration_us = reg.GetHistogram("xarch_query_duration_us", labels,
                                    "Query evaluation latency (microseconds)");
-  m.tree_probes =
-      reg.GetCounter("xarch_query_probes_total", labels + ",kind=\"tree\"",
+  m.naive_probes =
+      reg.GetCounter("xarch_query_probes_total", labels + ",kind=\"naive\"",
                      "Evaluation probes by plan kind and probe kind");
-  m.naive_probes = reg.GetCounter("xarch_query_probes_total",
-                                  labels + ",kind=\"naive\"", "");
   m.key_comparisons = reg.GetCounter("xarch_query_probes_total",
                                      labels + ",kind=\"key_comparison\"", "");
   m.bytes_streamed =
@@ -134,7 +131,6 @@ void RecordQueryMetrics(Access access, const EvalResult& result,
   const QueryMetrics& m = MetricsFor(access);
   m.queries->Increment();
   m.duration_us->Record(duration_us);
-  m.tree_probes->Add(result.probes.tree_probes);
   m.naive_probes->Add(result.probes.naive_probes);
   m.key_comparisons->Add(result.probes.comparisons);
   m.bytes_streamed->Add(result.bytes_streamed);
@@ -202,7 +198,6 @@ class ArchiveEvaluator {
     StatusOr<std::vector<NodeMatch>> navigated = [&] {
       obs::ScopedSpan span(options_.trace, "navigate", eval_span_);
       auto got = Navigate(ast.steps, missing_path_is_error, bare_is_exact);
-      span.Note("tree_probes", result_.probes.tree_probes);
       span.Note("naive_probes", result_.probes.naive_probes);
       if (got.ok()) span.Note("matches", got->size());
       return got;
@@ -293,30 +288,15 @@ class ArchiveEvaluator {
   /// A cursor streaming into the query sink, counting into result_ — for
   /// the serial paths, which run on the caller thread only.
   core::ScanCursor MakeCursor() {
-    core::ScanCursor cursor(
-        xml::SerializeOptions{},
-        [this](std::string_view chunk) {
-          result_.bytes_streamed += chunk.size();
-          return sink_.Append(chunk);
-        });
-    SetSelector(cursor);
-    return cursor;
-  }
-
-  void SetSelector(core::ScanCursor& cursor) {
-    if (index_ == nullptr) return;
-    // The hook reads only the (immutable during evaluation) index; it is
-    // shared by the parallel workers' private cursors.
-    cursor.set_selector([this](core::ArchiveView::NodeId node, Version v,
-                               std::vector<size_t>* relevant,
-                               size_t* probes) {
-      return index_->RelevantChildren(node, v, relevant, probes);
-    });
+    return core::ScanCursor(xml::SerializeOptions{},
+                            [this](std::string_view chunk) {
+                              result_.bytes_streamed += chunk.size();
+                              return sink_.Append(chunk);
+                            });
   }
 
   Status FinishCursor(core::ScanCursor& cursor,
                       const core::ScanStats& stats) {
-    result_.probes.tree_probes += stats.tree_probes;
     result_.probes.naive_probes += stats.naive_probes;
     return cursor.Finish();
   }
@@ -340,7 +320,6 @@ class ArchiveEvaluator {
       XARCH_RETURN_NOT_OK(cursor.Scan(view_, match.node, v, 0));
     }
     XARCH_RETURN_NOT_OK(FinishCursor(cursor, stats));
-    span.Note("tree_probes", stats.tree_probes);
     span.Note("naive_probes", stats.naive_probes);
     span.Note("bytes", result_.bytes_streamed);
     if (active == 0) return NoMatchError(ast);
@@ -376,7 +355,6 @@ class ArchiveEvaluator {
           out->append(chunk);
           return Status::OK();
         });
-    SetSelector(cursor);
     cursor.set_stats(stats);
     XARCH_RETURN_NOT_OK(ScanRangeVersion(cursor, matches, v));
     return cursor.Finish();
@@ -397,10 +375,9 @@ class ArchiveEvaluator {
     for (Version v = from; v <= to; ++v) {
       obs::ScopedSpan span(options_.trace, ScanSpanName(options_.trace, v),
                            eval_span_);
-      const size_t tree = stats.tree_probes, naive = stats.naive_probes;
+      const size_t naive = stats.naive_probes;
       const size_t bytes = result_.bytes_streamed;
       XARCH_RETURN_NOT_OK(ScanRangeVersion(cursor, matches, v));
-      span.Note("tree_probes", stats.tree_probes - tree);
       span.Note("naive_probes", stats.naive_probes - naive);
       span.Note("bytes", result_.bytes_streamed - bytes);
     }
@@ -424,7 +401,6 @@ class ArchiveEvaluator {
                               &outputs[i], &stats[i]);
     });
     for (size_t i = 0; i < n; ++i) {
-      result_.probes.tree_probes += stats[i].tree_probes;
       result_.probes.naive_probes += stats[i].naive_probes;
       XARCH_RETURN_NOT_OK(statuses[i]);
       XARCH_RETURN_NOT_OK(EmitText(sink_, outputs[i], &result_));

@@ -21,9 +21,8 @@ namespace xarch::query {
 /// Counters of one query evaluation (what EXPLAIN reports and what
 /// Store::Stats() accumulates).
 struct EvalResult {
-  /// Tree probes, the children a naive scan would have inspected at the
-  /// same nodes, and key comparisons — both real and hypothetical cost
-  /// are counted in the one pass, so indexed vs naive needs no second run.
+  /// The children the stamp-checking scan inspected, and the key
+  /// comparisons of sorted-child lookups.
   index::ProbeStats probes;
   /// True when the evaluation navigated mapped snapshot bytes rather than
   /// heap nodes (EXPLAIN reports it as `mapped=true`).
@@ -73,8 +72,8 @@ struct EvalOptions {
 /// \brief Streaming evaluation over the merged hierarchy (the archive
 /// plans): walks the archive once, serializing straight into `sink` —
 /// no intermediate xml::Node tree is materialized. With `index` non-null
-/// keyed steps use the sorted-key binary search and snapshots are pruned
-/// by the timestamp trees; otherwise every step is a full child scan.
+/// keyed steps use the sorted-key binary search; otherwise every step is a
+/// full child scan. Snapshots run the stamp-checking scan either way.
 /// The archive (and index) must not be mutated during the call — the
 /// Store layer guarantees that by holding the store's reader lock.
 Status Evaluate(const Plan& plan, const core::Archive& archive,

@@ -35,8 +35,6 @@ std::string FormatExplain(const Plan& plan, const EvalResult& result,
   out += "stats:\n";
   out += "  matches:          " + std::to_string(result.matches) + "\n";
   out += "  bytes streamed:   " + std::to_string(result.bytes_streamed) + "\n";
-  out += "  tree probes:      " + std::to_string(result.probes.tree_probes) +
-         "\n";
   out += "  naive probes:     " + std::to_string(result.probes.naive_probes) +
          "\n";
   out += "  key comparisons:  " + std::to_string(result.probes.comparisons) +

@@ -7,9 +7,8 @@ namespace xarch::query {
 
 /// \brief EXPLAIN mode: runs the plan with its results discarded (counted,
 /// not streamed) and streams a report instead — the compiled operators
-/// plus the evaluation counters. Because ProbeStats counts the indexed
-/// probes and the hypothetical full-scan probes in the same pass, one run
-/// reports indexed vs naive cost side by side.
+/// plus the evaluation counters: the children the scan inspected and the
+/// key comparisons of indexed lookups.
 
 /// EXPLAIN over the archive plans, on any ArchiveView; the report's access
 /// line carries `mapped=true` when the view navigates mapped bytes.

@@ -36,7 +36,6 @@ std::string ExecNote(const Temporal& temporal, Access access) {
     case TemporalKind::kRange:
       switch (access) {
         case Access::kArchiveIndexed:
-          return "timestamp-tree pruned subtree stream";
         case Access::kArchiveScan:
           return "full-scan subtree stream";
         case Access::kGeneric:

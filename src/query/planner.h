@@ -15,8 +15,8 @@ namespace xarch::query {
 /// How the plan reaches the data.
 enum class Access {
   /// Streaming evaluation over the merged hierarchy, directed by an
-  /// index::ArchiveIndex: sorted-key binary search for keyed steps and
-  /// timestamp-tree pruning for snapshots.
+  /// index::ArchiveIndex: sorted-key binary search for keyed steps. Its
+  /// snapshots run the same stamp-checking scan as kArchiveScan.
   kArchiveIndexed,
   /// Streaming evaluation over the merged hierarchy with full child scans
   /// (the Sec. 7.1 naive scan).

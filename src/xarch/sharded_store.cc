@@ -483,7 +483,6 @@ StoreStats ShardedStore::BackendStats() const {
         std::max(stats.max_retrieval_applications,
                  inner.max_retrieval_applications);
     stats.queries += inner.queries;
-    stats.query_tree_probes += inner.query_tree_probes;
     stats.query_naive_probes += inner.query_naive_probes;
     stats.query_comparisons += inner.query_comparisons;
   }

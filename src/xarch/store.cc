@@ -146,8 +146,6 @@ StoreStats Store::Stats() const {
   ReadLock lock(*this);
   StoreStats stats = BackendStats();
   stats.queries += query_counters_.queries.load(std::memory_order_relaxed);
-  stats.query_tree_probes +=
-      query_counters_.tree_probes.load(std::memory_order_relaxed);
   stats.query_naive_probes +=
       query_counters_.naive_probes.load(std::memory_order_relaxed);
   stats.query_comparisons +=
@@ -231,8 +229,6 @@ StatusOr<std::string> Store::SnapshotBytesImpl() const {
 
 void Store::CountQuery(const query::EvalResult& result) {
   query_counters_.queries.fetch_add(1, std::memory_order_relaxed);
-  query_counters_.tree_probes.fetch_add(result.probes.tree_probes,
-                                        std::memory_order_relaxed);
   query_counters_.naive_probes.fetch_add(result.probes.naive_probes,
                                          std::memory_order_relaxed);
   query_counters_.comparisons.fetch_add(result.probes.comparisons,
@@ -544,10 +540,14 @@ class ArchiveStore final : public Store {
 
   StatusOr<VersionSet> HistoryImpl(
       const std::vector<core::KeyStep>& path) override {
+    core::ChildLookup find_child;
     if (const index::ArchiveIndex* index = Index()) {
-      return index->History(path, nullptr);
+      find_child = [index](core::ArchiveView::NodeId parent,
+                           const core::KeyStep& step) {
+        return index->FindChild(parent, step, nullptr);
+      };
     }
-    return core::HistoryOverView(View(), path);
+    return core::HistoryOverView(View(), path, find_child);
   }
 
   StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
@@ -621,16 +621,7 @@ class ArchiveStore final : public Store {
     writer.AddRaw("backend", name_);
     writer.AddRaw("spec", archive_->spec().ToText());
     writer.AddRaw("opts", std::move(opts));
-    core::FlatArchiveEncoder encoder(*archive_);
-    encoder.EncodeStructure();
-    std::string index_pages;
-    if (index_ != nullptr) {
-      // Between EncodeStructure and Finish so tree stamps intern into the
-      // shared pool.
-      assert(index_->built_at_generation() == archive_->ingest_generation());
-      index_pages = index_->EncodePages(&encoder);
-    }
-    core::FlatArchiveEncoder::Sections flat = encoder.Finish();
+    core::FlatSections flat = core::EncodeFlatArchive(*archive_);
     writer.AddRaw("meta", std::move(flat.meta));
     writer.AddRaw("strings", std::move(flat.strings));
     writer.AddRaw("stamps", std::move(flat.stamps));
@@ -639,7 +630,10 @@ class ArchiveStore final : public Store {
     writer.AddRaw("attrs", std::move(flat.attrs));
     writer.AddRaw("buckets", std::move(flat.buckets));
     writer.AddRaw("content", std::move(flat.content));
-    if (index_ != nullptr) writer.AddRaw("index", std::move(index_pages));
+    if (index_ != nullptr) {
+      assert(index_->built_at_generation() == archive_->ingest_generation());
+      writer.AddRaw("index", index_->EncodePages());
+    }
     return writer.Serialize();
   }
 

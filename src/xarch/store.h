@@ -56,8 +56,8 @@ enum Capability : uint32_t {
   /// Query() parses and answers XAQL temporal queries (src/query): keyed
   /// path expressions with `@ version N`, `@ versions A..B`, `history`,
   /// and `diff A B` qualifiers, streamed into a Sink. Archive backends
-  /// evaluate them with one streaming pass of the merged hierarchy
-  /// (timestamp-tree pruned when indexed); every other backend uses the
+  /// evaluate them with one streaming pass of the merged hierarchy (keyed
+  /// steps binary-searched when indexed); every other backend uses the
   /// interface-level fallback plan over Retrieve/History/DiffVersions.
   kQuery = 1u << 4,
   /// SaveToFile()/SaveToBytes() snapshot the full store state into the
@@ -95,10 +95,13 @@ struct StoreStats {
   /// External-memory I/O counters (extmem backend; zeros otherwise).
   extmem::IoStats io;
   /// XAQL queries answered so far (kQuery), and the probe counters of
-  /// their evaluations, accumulated across Query() calls: timestamp-tree
-  /// probes actually paid, children a naive scan would have inspected at
-  /// the same nodes, and key comparisons of sorted-child lookups.
+  /// their evaluations, accumulated across Query() calls: children the
+  /// stamp-checking scan inspected, and key comparisons of sorted-child
+  /// lookups.
   uint64_t queries = 0;
+  /// Always 0: the Sec. 7.1 timestamp trees are no longer on the query
+  /// path (bench/timestamp_tree.h reproduces their probe counts). Kept so
+  /// callers that read it still compile.
   uint64_t query_tree_probes = 0;
   uint64_t query_naive_probes = 0;
   uint64_t query_comparisons = 0;
@@ -266,9 +269,10 @@ class Store {
   /// The base implementation is the interface-level plan (Retrieve /
   /// History / DiffVersions), which any backend answers; archive backends
   /// override it with the streaming evaluator over the merged hierarchy,
-  /// pruned by the timestamp-tree index when enabled. Range workloads fan
-  /// versions across util::ThreadPool::Shared() and merge the per-version
-  /// output in version order, so the bytes are identical to a serial run.
+  /// keyed steps binary-searched by the index when enabled. Range workloads
+  /// fan versions across util::ThreadPool::Shared() and merge the
+  /// per-version output in version order, so the bytes are identical to a
+  /// serial run.
   /// Per-query probe counters accumulate into Stats(). Safe to call from
   /// many threads at once.
   ///
@@ -419,7 +423,6 @@ class Store {
 
   struct QueryCounters {
     std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> tree_probes{0};
     std::atomic<uint64_t> naive_probes{0};
     std::atomic<uint64_t> comparisons{0};
   };

@@ -32,7 +32,6 @@
 #include "extmem/external_archiver.h"
 #include "extmem/io_stats.h"
 #include "index/archive_index.h"
-#include "index/timestamp_tree.h"
 #include "keys/annotate.h"
 #include "keys/infer.h"
 #include "keys/key_spec.h"

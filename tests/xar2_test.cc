@@ -5,10 +5,11 @@
 // fixtures under tests/data/ (one per backend: byte-identical reads,
 // migration to XAR2 on save, and the flip-every-byte / truncate-everywhere
 // / patched-version sweeps of the legacy parser), the committed XAR2
-// fixtures that still carry the old `archive` XML section, the same
-// corruption sweeps over an XAR2 file (kDataLoss, never an out-of-bounds
-// read), and checksum-valid snapshots whose flat records break an archive
-// invariant (kDataLoss at the first decode).
+// fixtures that still carry the old `archive` XML section or timestamp-tree
+// index trailers, the sorted-id index fixtures a live store writes, the
+// same corruption sweeps over XAR2 files (kDataLoss, never an
+// out-of-bounds read), and checksum-valid snapshots whose flat records
+// break an archive invariant (kDataLoss at the first decode).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -683,14 +684,14 @@ INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2ArchiveSectionTest,
 
 // ------------------------------------------------ indexed XAR2 fixtures
 
-// Committed XAR2 files in today's layout, index pages included
-// (tests/data/README.md): a live indexed store must write them byte for
-// byte, and the mapped index must probe exactly as the live one.
+// Committed XAR2 files in today's layout, index pages of sorted child ids
+// included (tests/data/README.md): a live indexed store must write them
+// byte for byte, and the mapped index must probe exactly as the live one.
 class Xar2IndexedFixtureTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::string Path() const {
-    return std::string(XARCH_TEST_DATA_DIR) + "/xar2_indexed_" + GetParam() +
-           ".xar";
+    return std::string(XARCH_TEST_DATA_DIR) + "/xar2_sorted_ids_" +
+           GetParam() + ".xar";
   }
 };
 
@@ -733,6 +734,189 @@ TEST_P(Xar2IndexedFixtureTest, OpensMappedWithLiveExplain) {
 INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2IndexedFixtureTest,
                          ::testing::Values("archive", "archive-weave"),
                          FixtureTestName);
+
+// ------------------------------------ XAR2 fixtures with timestamp trees
+
+// Committed XAR2 files whose index entries end in a Sec. 7.1 timestamp-tree
+// trailer (tests/data/README.md): `xar2_<backend>` also carries the old
+// `archive` section, `xar2_indexed_<backend>` does not. Attach checks each
+// trailer's sizes and skips it, so every read matches a live store, and
+// the first Append saves today's layout.
+class Xar2TreeLayoutFixtureTest
+    : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::string Backend() const {
+    return GetParam().substr(GetParam().rfind('_') + 1);
+  }
+  std::string Path() const {
+    return std::string(XARCH_TEST_DATA_DIR) + "/" + GetParam() + ".xar";
+  }
+};
+
+TEST_P(Xar2TreeLayoutFixtureTest, OpensMappedLikeLiveAndSavesTodaysLayout) {
+  auto mapped_or = OpenMapped(Path());
+  ASSERT_TRUE(mapped_or.ok()) << Path() << ": "
+                              << mapped_or.status().ToString();
+  Store& mapped = **mapped_or;
+  std::unique_ptr<Store> live = MakeLiveStore(Backend(), /*use_index=*/true);
+  ASSERT_EQ(mapped.version_count(), live->version_count());
+  for (Version v = 1; v <= live->version_count(); ++v) {
+    EXPECT_EQ(*mapped.Retrieve(v), *live->Retrieve(v)) << "v" << v;
+  }
+  for (const char* q : {
+           "/db/entry[id=\"2\"] @ version 1",
+           "/db/entry[*] @ versions 1..4",
+           "/db/entry[id=\"3\"] history",
+           "/db/entry[id=\"9\"] history",
+           "/db diff 1 2",
+           "/db diff 2 4",
+       }) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(mapped, q);
+    ASSERT_EQ(a.status().ToString(), b.status().ToString()) << q;
+    if (a.ok()) {
+      EXPECT_EQ(*a, *b) << q;
+    }
+  }
+  const std::string marker = " (mapped=true)";
+  for (const char* q : {
+           "explain /db/entry[id=\"2\"] @ version 2",
+           "explain /db/entry[*] @ versions 1..4",
+           "explain /db/entry[id=\"3\"] history",
+           "explain /db diff 1 4",
+       }) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(mapped, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    std::string stripped = *b;
+    const size_t at = stripped.find(marker);
+    ASSERT_NE(at, std::string::npos) << *b;
+    stripped.erase(at, marker.size());
+    EXPECT_EQ(stripped, *a) << q;
+  }
+  for (const std::vector<core::KeyStep>& path :
+       std::vector<std::vector<core::KeyStep>>{
+           {{"db", {}}, {"entry", {{"id", "3"}}}},
+           {{"db", {}}, {"entry", {{"id", "9"}}}},
+           {{"db", {}}, {"entry", {{"id", "1"}}}, {"note", {}}, {"x", {}}}}) {
+    auto a = live->History(path);
+    auto b = mapped.History(path);
+    ASSERT_EQ(a.status().ToString(), b.status().ToString());
+    if (a.ok()) {
+      EXPECT_EQ(a->ToString(), b->ToString());
+    }
+  }
+  EXPECT_EQ(core::FormatChanges(*mapped.DiffVersions(1, 4)),
+            core::FormatChanges(*live->DiffVersions(1, 4)));
+
+  const std::string v5 =
+      Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
+  ASSERT_TRUE(mapped.Append(v5).ok());
+  ASSERT_TRUE(live->Append(v5).ok());
+  auto resaved = mapped.SaveToBytes();
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  EXPECT_EQ(*resaved, *live->SaveToBytes());
+}
+
+/// The committed tree-layout snapshot at `path` with its "index" section
+/// edited by `patch` and every section rewritten raw, so the container
+/// passes every CRC.
+std::string PatchedIndexPages(const std::string& path,
+                              const std::function<void(std::string*)>& patch) {
+  auto view = persist::SnapshotView::OpenFromBytes(ReadAll(path));
+  EXPECT_TRUE(view.ok()) << path;
+  persist::SnapshotWriter writer;
+  for (const std::string& name : view->names()) {
+    std::string section = *view->SectionString(name);
+    if (name == "index") patch(&section);
+    writer.AddRaw(name, std::move(section));
+  }
+  return writer.Serialize();
+}
+
+// The trailer is skipped, not trusted: a tree whose sizes disagree with
+// its entry or whose leaves are not the node's children fails the open.
+TEST_P(Xar2TreeLayoutFixtureTest, MalformedTreeTrailerFailsTheOpen) {
+  // <db>'s entry (page 1): u32 sorted_count and the sorted child ids, then
+  // the trailer: u32 leaf_count, u32 tree_node_count, i32 root, 20-byte
+  // records.
+  auto blob = [](const std::string& pages) {
+    return 4 + 4 * (size_t{U32At(pages, 0)} + 1);
+  };
+  auto trailer = [&](const std::string& pages) {
+    const size_t entry = blob(pages) + U32At(pages, 8);
+    return entry + 4 + 4 * size_t{U32At(pages, entry)};
+  };
+  auto add = [](std::string* pages, size_t at, int32_t delta) {
+    SetU32At(pages, at, U32At(*pages, at) + delta);
+  };
+  // Grows (or shrinks) <db>'s entry by `delta` bytes at its end.
+  auto resize = [&](std::string* pages, int32_t delta) {
+    const size_t end = blob(*pages) + U32At(*pages, 12);
+    if (delta > 0) {
+      pages->insert(end, static_cast<size_t>(delta), '\0');
+    } else {
+      pages->erase(end + delta, static_cast<size_t>(-delta));
+    }
+    for (uint32_t n = 2; n <= U32At(*pages, 0); ++n) add(pages, 4 + 4 * n, delta);
+  };
+  const std::map<std::string, std::function<void(std::string*)>> cases = {
+      {"tree_node_count disagrees with the entry length",
+       [&](std::string* pages) { add(pages, trailer(*pages) + 4, 1); }},
+      {"entry one record short",
+       [&](std::string* pages) { resize(pages, -20); }},
+      {"leaf_count differs from the child count",
+       [&](std::string* pages) {
+         // One more leaf and its pairing node, sizes consistent with it.
+         add(pages, trailer(*pages), 1);
+         add(pages, trailer(*pages) + 4, 2);
+         resize(pages, 40);
+       }},
+  };
+  // Rewritten unpatched, the snapshot opens.
+  ASSERT_TRUE(OpenBytes(PatchedIndexPages(Path(), [](std::string*) {})).ok());
+  for (const auto& [what, patch] : cases) {
+    auto opened = OpenBytes(PatchedIndexPages(Path(), patch));
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+        << what << ": " << opened.status().ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2TreeLayoutFixtureTest,
+                         ::testing::Values("xar2_archive",
+                                           "xar2_archive-weave",
+                                           "xar2_indexed_archive",
+                                           "xar2_indexed_archive-weave"),
+                         FixtureTestName);
+
+// ------------------------------------------------------- history status
+
+// Store::History runs one walk whatever resolves its keyed steps: an
+// unindexed store, an indexed one on the heap and an indexed one over
+// mapped pages return the same status for a path below a frontier node
+// and for a missing key.
+TEST(Xar2HistoryTest, IndexedAndUnindexedStoresFailAlike) {
+  for (const std::string backend : {"archive", "archive-weave"}) {
+    std::unique_ptr<Store> unindexed = MakeLiveStore(backend);
+    std::unique_ptr<Store> indexed = MakeLiveStore(backend, true);
+    auto mapped = OpenBytes(*indexed->SaveToBytes());
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    const std::vector<std::pair<std::vector<core::KeyStep>, StatusCode>>
+        cases = {
+            {{{"db", {}}, {"entry", {{"id", "1"}}}, {"note", {}}, {"x", {}}},
+             StatusCode::kInvalidArgument},
+            {{{"db", {}}, {"entry", {{"id", "9"}}}}, StatusCode::kNotFound},
+        };
+    for (const auto& [path, code] : cases) {
+      const Status want = unindexed->History(path).status();
+      EXPECT_EQ(want.code(), code) << backend << ": " << want.ToString();
+      EXPECT_EQ(indexed->History(path).status().ToString(), want.ToString())
+          << backend;
+      EXPECT_EQ((*mapped)->History(path).status().ToString(), want.ToString())
+          << backend;
+    }
+  }
+}
 
 // ------------------------------------------ flat-record decoder hardening
 
@@ -923,10 +1107,8 @@ std::string SavedXar2Snapshot(const std::string& path) {
   return good;
 }
 
-TEST(Xar2CorruptionTest, EveryFlippedByteFailsWithDataLoss) {
-  ScratchDir dir("flip");
-  const std::string path = dir.File("s.xar");
-  const std::string good = SavedXar2Snapshot(path);
+/// Writes every single-byte flip of `good` to `path` and opens it.
+void ExpectEveryFlipFails(const std::string& path, const std::string& good) {
   // Stride-1 sweep: every single-byte flip must be caught — header and
   // section-table bytes by the header/table CRCs, payload bytes by their
   // section CRCs — before any flat-section decoding runs. Both open paths
@@ -945,10 +1127,9 @@ TEST(Xar2CorruptionTest, EveryFlippedByteFailsWithDataLoss) {
   }
 }
 
-TEST(Xar2CorruptionTest, EveryTruncationFailsCleanly) {
-  ScratchDir dir("cut");
-  const std::string path = dir.File("s.xar");
-  const std::string good = SavedXar2Snapshot(path);
+/// Writes every proper prefix of `good` to `path` and opens it.
+void ExpectEveryTruncationFails(const std::string& path,
+                                const std::string& good) {
   for (size_t cut = 0; cut < good.size(); ++cut) {
     WriteAll(path, good.substr(0, cut));
     auto reopened = StoreRegistry::Open(path);
@@ -961,6 +1142,42 @@ TEST(Xar2CorruptionTest, EveryTruncationFailsCleanly) {
     }
   }
 }
+
+TEST(Xar2CorruptionTest, EveryFlippedByteFailsWithDataLoss) {
+  ScratchDir dir("flip");
+  const std::string path = dir.File("s.xar");
+  ExpectEveryFlipFails(path, SavedXar2Snapshot(path));
+}
+
+TEST(Xar2CorruptionTest, EveryTruncationFailsCleanly) {
+  ScratchDir dir("cut");
+  const std::string path = dir.File("s.xar");
+  ExpectEveryTruncationFails(path, SavedXar2Snapshot(path));
+}
+
+// The same sweeps over the committed sorted-id fixtures.
+class Xar2FixtureCorruptionTest
+    : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::string Fixture() const {
+    return ReadAll(std::string(XARCH_TEST_DATA_DIR) + "/xar2_sorted_ids_" +
+                   GetParam() + ".xar");
+  }
+};
+
+TEST_P(Xar2FixtureCorruptionTest, EveryFlippedByteFailsWithDataLoss) {
+  ScratchDir dir("fixture_flip");
+  ExpectEveryFlipFails(dir.File("s.xar"), Fixture());
+}
+
+TEST_P(Xar2FixtureCorruptionTest, EveryTruncationFailsCleanly) {
+  ScratchDir dir("fixture_cut");
+  ExpectEveryTruncationFails(dir.File("s.xar"), Fixture());
+}
+
+INSTANTIATE_TEST_SUITE_P(CommittedFixtures, Xar2FixtureCorruptionTest,
+                         ::testing::Values("archive", "archive-weave"),
+                         FixtureTestName);
 
 }  // namespace
 }  // namespace xarch
